@@ -54,11 +54,18 @@ _ATOMIC_WEIGHTS = (
 
 MAX_ELEMENT = len(_SYMBOLS)
 
-# SMILES organic subset: written bare, implicit hydrogens filled in.
-ORGANIC_SUBSET = frozenset((5, 6, 7, 8, 9, 15, 16, 17, 35, 53))
+# SMILES/SMARTS organic subset: written bare, implicit hydrogens filled
+# in.  Two-letter symbols are tried before one-letter ones.
+ORGANIC_TWO = ("Cl", "Br")
+ORGANIC_ONE = frozenset("BCNOPSFI")
+ORGANIC_AROMATIC = frozenset("bcnops")
+ORGANIC_SUBSET = frozenset(_ATOMIC_NUMBER[s] for s in (*ORGANIC_TWO, *ORGANIC_ONE))
 
-# Elements allowed to carry the aromatic (lowercase) flag.
-AROMATIC_ELEMENTS = frozenset((5, 6, 7, 8, 15, 16, 33, 34))
+# Lowercase (aromatic) symbols and the elements allowed to carry the flag.
+LOWERCASE_AROMATIC = {
+    "b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16, "se": 34, "as": 33,
+}
+AROMATIC_ELEMENTS = frozenset(LOWERCASE_AROMATIC.values())
 
 HALOGENS = frozenset((9, 17, 35, 53))
 
@@ -217,26 +224,6 @@ def _adjacency(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> list[list[
     return adj
 
 
-def _components(n_atoms: int, adj: list[list[tuple[int, int]]]) -> list[list[int]]:
-    seen = [False] * n_atoms
-    comps = []
-    for start in range(n_atoms):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            cur = queue.pop()
-            for nbr, _ in adj[cur]:
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    comp.append(nbr)
-                    queue.append(nbr)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _normalize_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical rotation/direction: start at the smallest atom, pick the
     lexicographically smaller of the two traversal directions."""
@@ -291,20 +278,22 @@ def _shortest_cycles_through(
         queue = nxt
     if dist[v] == INF:
         return []
+    # Depth-first walk from v down the distance layers to u, with an
+    # explicit stack so that long rings cannot exhaust the recursion
+    # limit; path[k] holds the atom at distance dist[v] - k.
     paths: list[tuple[int, ...]] = []
-
-    def extend(path: list[int]) -> None:
-        cur = path[-1]
+    path: list[int] = []
+    stack = [v]
+    while stack:
+        cur = stack.pop()
+        del path[dist[v] - dist[cur] :]
+        path.append(cur)
         if cur == u:
             paths.append(tuple(reversed(path)))
-            return
-        for nbr, bidx in adj[cur]:
+            continue
+        for nbr, bidx in reversed(adj[cur]):
             if bidx != skip_bond and dist[nbr] == dist[cur] - 1:
-                path.append(nbr)
-                extend(path)
-                path.pop()
-
-    extend([v])
+                stack.append(nbr)
     return paths
 
 
@@ -314,19 +303,24 @@ def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingIn
     For every non-tree bond of a BFS spanning forest, take the smallest
     cycle through that bond; ties are broken by the lexicographically
     smallest sorted atom tuple.  If the collected cycles do not span the
-    full cycle space (rank short of bonds - atoms + components, which
-    does not occur on molecular graphs), the basis is completed greedily
-    from the remaining candidates.
+    full cycle space (rank short of bonds - atoms + components), the
+    basis is completed greedily with the forest's fundamental cycles.
+    That happens on ordinary molecules: under some atom orders two
+    non-tree bonds of a fused or bridged ring system share their
+    smallest cycle.
     """
     adj = _adjacency(n_atoms, bonds)
     bond_index = {(min(b.i, b.j), max(b.i, b.j)): idx for idx, b in enumerate(bonds)}
-    comps = _components(n_atoms, adj)
-    cyclomatic = len(bonds) - n_atoms + len(comps)
 
-    tree_bonds: set[int] = set()
+    # BFS spanning forest, one tree per component, rooted at its
+    # smallest atom; parent[atom] = (parent atom, tree bond).
+    parent: dict[int, tuple[int, int]] = {}
     visited = [False] * n_atoms
-    for comp in comps:
-        root = comp[0]
+    n_components = 0
+    for root in range(n_atoms):
+        if visited[root]:
+            continue
+        n_components += 1
         visited[root] = True
         queue = [root]
         while queue:
@@ -335,9 +329,11 @@ def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingIn
                 for nbr, bidx in sorted(adj[cur]):
                     if not visited[nbr]:
                         visited[nbr] = True
-                        tree_bonds.add(bidx)
+                        parent[nbr] = (cur, bidx)
                         nxt.append(nbr)
             queue = nxt
+    tree_bonds = {bidx for _, bidx in parent.values()}
+    cyclomatic = len(bonds) - n_atoms + n_components
 
     candidates: list[tuple[int, ...]] = []
     for bidx, b in enumerate(bonds):
@@ -357,22 +353,6 @@ def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingIn
 
     if len(rings) < cyclomatic:
         # Fallback: complete the basis with fundamental cycles of the forest.
-        parent: dict[int, tuple[int, int]] = {}
-        seen = [False] * n_atoms
-        for comp in comps:
-            root = comp[0]
-            seen[root] = True
-            queue = [root]
-            while queue:
-                nxt = []
-                for cur in queue:
-                    for nbr, bidx in sorted(adj[cur]):
-                        if bidx in tree_bonds and not seen[nbr]:
-                            seen[nbr] = True
-                            parent[nbr] = (cur, bidx)
-                            nxt.append(nbr)
-                queue = nxt
-
         def root_path(x: int) -> list[int]:
             path = [x]
             while path[-1] in parent:

@@ -17,14 +17,17 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .chem import BondOrder, Molecule, atomic_number
+from .chem import (
+    LOWERCASE_AROMATIC,
+    ORGANIC_AROMATIC,
+    ORGANIC_ONE,
+    ORGANIC_TWO,
+    BondOrder,
+    Molecule,
+    atomic_number,
+)
 from .errors import KeySetError, SmartsSyntaxError, UnsupportedPrimitiveError
 
-_LOWERCASE_AROMATIC = {
-    "b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16, "se": 34, "as": 33,
-}
-_BARE_TWO = ("Cl", "Br")
-_BARE_ONE = set("BCNOPSFI")
 _BOND_CHARS = set("-=#:~@!&,;")
 
 
@@ -77,74 +80,66 @@ class MoleculeView:
         self.neighbors = mol.neighbors
 
 
-def _compile_atom(expr):
+def _compile(expr, leaf):
+    """Compile an expression tree into a ``(view, index) -> bool``
+    predicate; ``leaf`` compiles each Prim."""
     if isinstance(expr, Prim):
-        kind, value = expr.kind, expr.value
-        if kind == "element":
-            return lambda v, i: v.element[i] == value
-        if kind == "symbol_aliphatic":
-            return lambda v, i: v.element[i] == value and not v.aromatic[i]
-        if kind == "symbol_aromatic":
-            return lambda v, i: v.element[i] == value and v.aromatic[i]
-        if kind == "aromatic":
-            return lambda v, i: v.aromatic[i]
-        if kind == "aliphatic":
-            return lambda v, i: not v.aromatic[i]
-        if kind == "wildcard":
-            return lambda v, i: True
-        if kind == "degree":
-            return lambda v, i: v.degree[i] == value
-        if kind == "total_h":
-            return lambda v, i: v.total_h[i] == value
-        if kind == "connectivity":
-            return lambda v, i: v.connectivity[i] == value
-        if kind == "in_ring":
-            return lambda v, i: v.in_ring[i]
-        if kind == "ring_count":
-            return lambda v, i: v.ring_count[i] == value
-        if kind == "ring_size":
-            return lambda v, i: v.smallest_ring[i] == value
-        if kind == "charge":
-            return lambda v, i: v.charge[i] == value
-        raise AssertionError(f"unknown atom primitive {kind}")
+        return leaf(expr)
     if isinstance(expr, Not):
-        inner = _compile_atom(expr.arg)
+        inner = _compile(expr.arg, leaf)
         return lambda v, i: not inner(v, i)
     if isinstance(expr, And):
-        parts = [_compile_atom(a) for a in expr.args]
+        parts = [_compile(a, leaf) for a in expr.args]
         return lambda v, i: all(p(v, i) for p in parts)
     if isinstance(expr, Or):
-        parts = [_compile_atom(a) for a in expr.args]
+        parts = [_compile(a, leaf) for a in expr.args]
         return lambda v, i: any(p(v, i) for p in parts)
-    raise AssertionError(f"bad atom expression {expr!r}")
+    raise AssertionError(f"bad expression {expr!r}")
 
 
-def _compile_bond(expr):
-    if isinstance(expr, Prim):
-        kind = expr.kind
-        if kind == "single":
-            return lambda v, b: v.bond_order[b] is BondOrder.SINGLE
-        if kind == "double":
-            return lambda v, b: v.bond_order[b] is BondOrder.DOUBLE
-        if kind == "triple":
-            return lambda v, b: v.bond_order[b] is BondOrder.TRIPLE
-        if kind == "aromatic":
-            return lambda v, b: v.bond_order[b] is BondOrder.AROMATIC
-        if kind == "any":
-            return lambda v, b: True
-        if kind == "ring":
-            return lambda v, b: v.bond_in_ring[b]
-        raise AssertionError(f"unknown bond primitive {kind}")
-    if isinstance(expr, Not):
-        inner = _compile_bond(expr.arg)
-        return lambda v, b: not inner(v, b)
-    if isinstance(expr, And):
-        parts = [_compile_bond(a) for a in expr.args]
-        return lambda v, b: all(p(v, b) for p in parts)
-    if isinstance(expr, Or):
-        parts = [_compile_bond(a) for a in expr.args]
-        return lambda v, b: any(p(v, b) for p in parts)
-    raise AssertionError(f"bad bond expression {expr!r}")
+def _atom_leaf(prim: Prim):
+    kind, value = prim.kind, prim.value
+    if kind == "element":
+        return lambda v, i: v.element[i] == value
+    if kind == "symbol_aliphatic":
+        return lambda v, i: v.element[i] == value and not v.aromatic[i]
+    if kind == "symbol_aromatic":
+        return lambda v, i: v.element[i] == value and v.aromatic[i]
+    if kind == "aromatic":
+        return lambda v, i: v.aromatic[i]
+    if kind == "aliphatic":
+        return lambda v, i: not v.aromatic[i]
+    if kind == "wildcard":
+        return lambda v, i: True
+    if kind == "degree":
+        return lambda v, i: v.degree[i] == value
+    if kind == "total_h":
+        return lambda v, i: v.total_h[i] == value
+    if kind == "connectivity":
+        return lambda v, i: v.connectivity[i] == value
+    if kind == "in_ring":
+        return lambda v, i: v.in_ring[i]
+    if kind == "ring_count":
+        return lambda v, i: v.ring_count[i] == value
+    if kind == "ring_size":
+        return lambda v, i: v.smallest_ring[i] == value
+    if kind == "charge":
+        return lambda v, i: v.charge[i] == value
+    raise AssertionError(f"unknown atom primitive {kind}")
+
+
+_BOND_LEAVES = {
+    "single": lambda v, b: v.bond_order[b] is BondOrder.SINGLE,
+    "double": lambda v, b: v.bond_order[b] is BondOrder.DOUBLE,
+    "triple": lambda v, b: v.bond_order[b] is BondOrder.TRIPLE,
+    "aromatic": lambda v, b: v.bond_order[b] is BondOrder.AROMATIC,
+    "any": lambda v, b: True,
+    "ring": lambda v, b: v.bond_in_ring[b],
+}
+
+
+def _bond_leaf(prim: Prim):
+    return _BOND_LEAVES[prim.kind]
 
 
 def _implies_aromatic(expr) -> bool:
@@ -193,12 +188,12 @@ class SmartsPattern:
 
     def atom_preds(self) -> list:
         if self._atom_preds is None:
-            self._atom_preds = [_compile_atom(e) for e in self.atom_exprs]
+            self._atom_preds = [_compile(e, _atom_leaf) for e in self.atom_exprs]
         return self._atom_preds
 
     def bond_preds(self) -> list:
         if self._bond_preds is None:
-            self._bond_preds = [_compile_bond(e) for e in self.bond_exprs]
+            self._bond_preds = [_compile(e, _bond_leaf) for e in self.bond_exprs]
         return self._bond_preds
 
     def __getstate__(self):
@@ -211,8 +206,12 @@ class SmartsPattern:
         self._bond_preds = None
 
 
-class _AtomExprScanner:
-    """Recursive-descent parser for one bracket atom expression."""
+class _ExprScanner:
+    """Recursive-descent parser for the SMARTS operator grammar.
+
+    Loosest to tightest: ``;`` (and), ``,`` (or), ``&`` or juxtaposition
+    (and), ``!`` (not).  Subclasses parse the leaves in ``primitive()``.
+    """
 
     def __init__(self, text: str, base_pos: int):
         self.text = text
@@ -222,28 +221,13 @@ class _AtomExprScanner:
     def error(self, msg: str):
         raise SmartsSyntaxError(msg, self.base + self.i)
 
-    def unsupported(self, what: str):
-        raise UnsupportedPrimitiveError(
-            f"unsupported SMARTS primitive {what!r}", self.base + self.i
-        )
-
     def peek(self) -> str:
         return self.text[self.i] if self.i < len(self.text) else ""
-
-    def _number(self) -> int | None:
-        j = self.i
-        while j < len(self.text) and self.text[j].isdigit():
-            j += 1
-        if j == self.i:
-            return None
-        value = int(self.text[self.i : j])
-        self.i = j
-        return value
 
     def parse(self):
         expr = self.expr_semi()
         if self.i != len(self.text):
-            self.error(f"unexpected {self.peek()!r} in atom expression")
+            self.error(f"unexpected {self.peek()!r} in expression")
         return expr
 
     def expr_semi(self):
@@ -278,6 +262,45 @@ class _AtomExprScanner:
             self.i += 1
             return Not(self.unary())
         return self.primitive()
+
+
+class _BondExprScanner(_ExprScanner):
+    """Parser for one run of bond-expression characters."""
+
+    PRIMS = {
+        "-": Prim("single"),
+        "=": Prim("double"),
+        "#": Prim("triple"),
+        ":": Prim("aromatic"),
+        "~": Prim("any"),
+        "@": Prim("ring"),
+    }
+
+    def primitive(self):
+        c = self.peek()
+        if c not in self.PRIMS:
+            self.error(f"bad bond expression char {c!r}")
+        self.i += 1
+        return self.PRIMS[c]
+
+
+class _AtomExprScanner(_ExprScanner):
+    """Parser for one bracket atom expression."""
+
+    def unsupported(self, what: str):
+        raise UnsupportedPrimitiveError(
+            f"unsupported SMARTS primitive {what!r}", self.base + self.i
+        )
+
+    def _number(self) -> int | None:
+        j = self.i
+        while j < len(self.text) and self.text[j].isdigit():
+            j += 1
+        if j == self.i:
+            return None
+        value = int(self.text[self.i : j])
+        self.i = j
+        return value
 
     def primitive(self):
         c = self.peek()
@@ -317,7 +340,7 @@ class _AtomExprScanner:
                 return Prim("symbol_aliphatic", elem)
         if two in ("se", "as"):
             self.i += 2
-            return Prim("symbol_aromatic", _LOWERCASE_AROMATIC[two])
+            return Prim("symbol_aromatic", LOWERCASE_AROMATIC[two])
         if c == "a":
             self.i += 1
             return Prim("aromatic")
@@ -348,9 +371,9 @@ class _AtomExprScanner:
             if num is None:
                 return Prim("in_ring")
             return Prim("ring_size", num)
-        if c in _LOWERCASE_AROMATIC:
+        if c in LOWERCASE_AROMATIC:
             self.i += 1
-            return Prim("symbol_aromatic", _LOWERCASE_AROMATIC[c])
+            return Prim("symbol_aromatic", LOWERCASE_AROMATIC[c])
         if c.isupper():
             elem = atomic_number(c)
             if elem is not None:
@@ -361,66 +384,7 @@ class _AtomExprScanner:
 
 def _parse_bond_expr(text: str, base_pos: int):
     """Parse a run of bond-expression characters; None for empty text."""
-    if not text:
-        return None
-    prim_map = {
-        "-": Prim("single"),
-        "=": Prim("double"),
-        "#": Prim("triple"),
-        ":": Prim("aromatic"),
-        "~": Prim("any"),
-        "@": Prim("ring"),
-    }
-    pos = 0
-
-    def peek() -> str:
-        return text[pos] if pos < len(text) else ""
-
-    def unary():
-        nonlocal pos
-        if peek() == "!":
-            pos += 1
-            return Not(unary())
-        c = peek()
-        if c in prim_map:
-            pos += 1
-            return prim_map[c]
-        raise SmartsSyntaxError(f"bad bond expression char {c!r}", base_pos + pos)
-
-    def expr_and():
-        nonlocal pos
-        parts = [unary()]
-        while True:
-            c = peek()
-            if c == "&":
-                pos += 1
-                parts.append(unary())
-            elif c and c not in ",;":
-                parts.append(unary())
-            else:
-                break
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def expr_or():
-        nonlocal pos
-        parts = [expr_and()]
-        while peek() == ",":
-            pos += 1
-            parts.append(expr_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def expr_semi():
-        nonlocal pos
-        parts = [expr_or()]
-        while peek() == ";":
-            pos += 1
-            parts.append(expr_or())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    expr = expr_semi()
-    if pos != len(text):
-        raise SmartsSyntaxError("trailing bond expression characters", base_pos + pos)
-    return expr
+    return _BondExprScanner(text, base_pos).parse() if text else None
 
 
 def parse_smarts(text: str) -> SmartsPattern:
@@ -462,14 +426,14 @@ def parse_smarts(text: str) -> SmartsPattern:
             raise UnsupportedPrimitiveError("'.' component grouping", i)
         elif c in "/\\":
             raise UnsupportedPrimitiveError("stereo bond", i)
-        elif stripped[i : i + 2] in _BARE_TWO:
+        elif stripped[i : i + 2] in ORGANIC_TWO:
             add_atom(Prim("symbol_aliphatic", atomic_number(stripped[i : i + 2])))
             i += 2
-        elif c in _BARE_ONE:
+        elif c in ORGANIC_ONE:
             add_atom(Prim("symbol_aliphatic", atomic_number(c)))
             i += 1
-        elif c in "bcnops":
-            add_atom(Prim("symbol_aromatic", _LOWERCASE_AROMATIC[c]))
+        elif c in ORGANIC_AROMATIC:
+            add_atom(Prim("symbol_aromatic", LOWERCASE_AROMATIC[c]))
             i += 1
         elif c == "*":
             add_atom(Prim("wildcard"))

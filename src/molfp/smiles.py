@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chem import (
+    LOWERCASE_AROMATIC,
+    ORGANIC_AROMATIC,
+    ORGANIC_ONE,
     ORGANIC_SUBSET,
+    ORGANIC_TWO,
     AtomDraft,
     Bond,
     BondOrder,
@@ -34,10 +38,6 @@ from .errors import (
 
 MAX_CHARGE = 15
 
-_ORGANIC_TWO = ("Cl", "Br")
-_ORGANIC_ONE = set("BCNOPSFI")
-_ORGANIC_AROMATIC = set("bcnops")
-
 _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?"
     r"(?P<symbol>[A-Za-z][a-z]?)"
@@ -47,10 +47,6 @@ _BRACKET_RE = re.compile(
     r"(?::(?P<map>\d+))?"
     r"\]$"
 )
-
-_LOWERCASE_AROMATIC = {
-    "b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16, "se": 34, "as": 33,
-}
 
 
 class TokenKind(Enum):
@@ -87,10 +83,10 @@ def tokenize(text: str) -> list[SmilesToken]:
                 raise SmilesSyntaxError("unclosed bracket atom", i)
             tokens.append(SmilesToken(TokenKind.ATOM_BRACKET, text[i : end + 1], i))
             i = end + 1
-        elif text[i : i + 2] in _ORGANIC_TWO:
+        elif text[i : i + 2] in ORGANIC_TWO:
             tokens.append(SmilesToken(TokenKind.ATOM_ORGANIC, text[i : i + 2], i))
             i += 2
-        elif c in _ORGANIC_ONE or c in _ORGANIC_AROMATIC:
+        elif c in ORGANIC_ONE or c in ORGANIC_AROMATIC:
             tokens.append(SmilesToken(TokenKind.ATOM_ORGANIC, c, i))
             i += 1
         elif c in "-=#:/\\":
@@ -138,7 +134,7 @@ def _parse_bracket(token: SmilesToken) -> tuple[AtomDraft, bool]:
     symbol = m.group("symbol")
     aromatic = False
     if symbol[0].islower():
-        element = _LOWERCASE_AROMATIC.get(symbol)
+        element = LOWERCASE_AROMATIC.get(symbol)
         if element is None:
             raise SmilesSyntaxError(f"unknown aromatic symbol {symbol!r}", token.pos)
         aromatic = True
@@ -169,8 +165,8 @@ def _parse_bracket(token: SmilesToken) -> tuple[AtomDraft, bool]:
 
 def _parse_organic(token: SmilesToken) -> AtomDraft:
     sym = token.text
-    if sym in _LOWERCASE_AROMATIC and len(sym) == 1:
-        return AtomDraft(element=_LOWERCASE_AROMATIC[sym], aromatic_flag=True)
+    if sym in LOWERCASE_AROMATIC and len(sym) == 1:
+        return AtomDraft(element=LOWERCASE_AROMATIC[sym], aromatic_flag=True)
     element = atomic_number(sym)
     assert element is not None  # tokenizer only emits known symbols
     return AtomDraft(element=element)

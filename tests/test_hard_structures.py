@@ -9,9 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molfp import (
+    BatchOptions,
+    FingerprintConfig,
+    Fingerprinter,
     ShapeError,
     from_smiles,
     sanitize,
+    transform_batch,
     write_canonical_smiles,
 )
 from molfp.corpus import synthetic_smiles
@@ -84,6 +88,23 @@ class TestParserStress:
         mol = from_smiles("[13C]1CC[NH2+]CC1")
         back = from_smiles(write_canonical_smiles(mol))
         assert are_isomorphic(mol, back)
+
+
+class TestLargeRing:
+    # Deeper than the default recursion limit: ring perception must not
+    # recurse once per ring atom.
+    MACROCYCLE = "C1" + "C" * 1200 + "1"
+
+    def test_macrocycle_sanitizes(self):
+        mol = from_smiles(self.MACROCYCLE)
+        assert [len(r) for r in mol.rings.rings] == [1201]
+
+    def test_macrocycle_batch_skip(self):
+        fp = Fingerprinter(FingerprintConfig(family="descriptors"))
+        mat, _ = transform_batch(
+            [self.MACROCYCLE, "CCO"], fp, BatchOptions(error_mode="skip")
+        )
+        assert mat.rows == 2
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,7 +19,7 @@ from molfp import (
     parse_smarts,
     sanitize,
 )
-from molfp.smarts import And, Or, Prim
+from molfp.smarts import And, Not, Or, Prim
 from molfp.smiles import parse_smiles
 
 from .oracles import brute_force_matches, permute_draft, random_permutation
@@ -119,6 +119,21 @@ class TestParsing:
     def test_ring_closure_bond_expr(self):
         p = parse_smarts("C1CCCCC=1")
         assert Prim("double") in p.bond_exprs
+
+    def test_bond_or(self):
+        assert parse_smarts("C-,=C").bond_exprs == (Or((Prim("single"), Prim("double"))),)
+
+    def test_bond_not(self):
+        assert parse_smarts("C!@C").bond_exprs == (Not(Prim("ring")),)
+
+    def test_bond_and_forms(self):
+        for text in ("C=;@C", "C=&@C"):
+            assert parse_smarts(text).bond_exprs == (And((Prim("double"), Prim("ring"))),)
+
+    def test_bond_not_needs_operand(self):
+        with pytest.raises(SmartsSyntaxError) as exc:
+            parse_smarts("C!C")
+        assert exc.value.position == 2
 
 
 class TestMatching:
