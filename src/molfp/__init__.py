@@ -40,6 +40,8 @@ from .errors import (
     KeySetError,
     MolfpError,
     ParseError,
+    RecordError,
+    RingClosureOverflowError,
     ShapeError,
     SmartsSyntaxError,
     SmilesSyntaxError,

@@ -110,11 +110,6 @@ class BondOrder(Enum):
         """Contribution to an atom's bond-order sum (aromatic counts 1.5)."""
         return 1.5 if self is BondOrder.AROMATIC else float(self.value)
 
-    @property
-    def code(self) -> int:
-        """Stable small integer used in feature hashing."""
-        return self.value
-
 
 @dataclass(frozen=True)
 class Bond:
@@ -153,6 +148,10 @@ class MoleculeDraft:
     bonds: list[Bond] = field(default_factory=list)
     source_text: str | None = None
     stereo_ignored: bool = False
+    _pairs: set[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._pairs = {(min(b.i, b.j), max(b.i, b.j)) for b in self.bonds}
 
     def add_atom(self, atom: AtomDraft) -> int:
         self.atoms.append(atom)
@@ -165,9 +164,9 @@ class MoleculeDraft:
         if i == j:
             raise ValueError(f"self-loop bond on atom {i}")
         pair = (min(i, j), max(i, j))
-        for b in self.bonds:
-            if (min(b.i, b.j), max(b.i, b.j)) == pair:
-                raise ValueError(f"duplicate bond between atoms {i} and {j}")
+        if pair in self._pairs:
+            raise ValueError(f"duplicate bond between atoms {i} and {j}")
+        self._pairs.add(pair)
         self.bonds.append(Bond(i, j, order))
 
 

@@ -19,7 +19,7 @@ from .engine import (
     transform_batch,
     _row_entries,
 )
-from .errors import MolfpError
+from .errors import MolfpError, as_record_error
 from .corpus import synthetic_smiles
 from .fingerprints import FingerprintConfig, FingerprintVector
 from .matrix import serialize
@@ -142,10 +142,11 @@ def cmd_canonical(args) -> int:
         for idx, rec in enumerate(records):
             try:
                 text = write_canonical_smiles(sanitize(parse_smiles(rec.smiles)))
-            except MolfpError as exc:
+            except Exception as exc:
+                exc = as_record_error(exc, idx)
                 if args.on_error == "raise":
                     exc.record_index = idx
-                    raise
+                    raise exc
                 failures.append((idx, type(exc).__name__, str(exc)))
                 continue
             lines.append(f"{text} {rec.name}" if rec.name else text)

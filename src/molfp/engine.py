@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .chem import Molecule, sanitize
-from .errors import CompositionError, ConfigError, MolfpError
+from .errors import CompositionError, ConfigError, as_record_error
 from .fingerprints import (
     N_DESCRIPTORS,
     FingerprintConfig,
@@ -245,13 +245,19 @@ def _row_entries(row) -> dict[int, float]:
 
 
 def _run_chunk(transformer, records, start: int, error_mode: str):
-    """Worker body: returns (rows, failures, first_error_or_None)."""
+    """Worker body: returns (rows, failures, first_error_or_None).
+
+    An exception outside the MolfpError hierarchy is wrapped in a
+    RecordError, so that one bad record is skipped or raised like any
+    other failure instead of aborting the batch.
+    """
     rows = []
     failures = []
     for off, rec in enumerate(records):
         try:
             rows.append(transformer.transform_one(rec))
-        except MolfpError as exc:
+        except Exception as exc:
+            exc = as_record_error(exc, start + off)
             if error_mode == "raise":
                 return rows, failures, (start + off, exc)
             failures.append((start + off, type(exc).__name__, str(exc)))

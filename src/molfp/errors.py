@@ -87,3 +87,23 @@ class FormatError(MolfpError):
 
     def __reduce__(self):
         return type(self), (self.message, self.line)
+
+
+class RingClosureOverflowError(MolfpError):
+    """A canonical SMILES would need more than 99 ring closures open at once."""
+
+
+class RecordError(MolfpError):
+    """A record raised an exception outside this hierarchy; the message
+    names the original type, ``record_index`` the record."""
+
+
+def as_record_error(exc: Exception, record_index: int) -> MolfpError:
+    """``exc`` itself when it is a MolfpError, else a RecordError that
+    wraps it."""
+    if isinstance(exc, MolfpError):
+        return exc
+    wrapped = RecordError(f"{type(exc).__name__}: {exc}")
+    wrapped.record_index = record_index
+    wrapped.__cause__ = exc
+    return wrapped

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .chem import (
     HALOGENS,
@@ -18,7 +19,6 @@ from .chem import (
     Molecule,
     atomic_weight,
     initial_atom_invariant,
-    shortest_path_matrix,
 )
 from .errors import ConfigError, FoldError
 from .hashing import (
@@ -140,39 +140,34 @@ def _circular(mol: Molecule, cfg: FingerprintConfig, seeds: list[int]) -> Finger
     """Shared ECFP/FCFP iteration.
 
     Iteration k hashes (k, own previous code, sorted (bond code,
-    neighbor previous code) pairs).  An environment whose bond set was
-    already produced by an earlier environment (lower iteration first,
-    then lower identifier) is discarded; iteration-0 environments are
-    one per atom and never collide.
+    neighbor previous code) pairs).  Its environment is the set of bonds
+    with an endpoint within k - 1 bonds of the atom, grown by the
+    recurrence env_1(a) = bonds incident to a, env_k(a) = env_{k-1}(a)
+    united with env_{k-1}(nbr) over the neighbors of a.  An environment
+    whose bond set was already produced by an earlier environment (lower
+    iteration first, then lower identifier) is discarded; iteration-0
+    environments are one per atom and never collide.
     """
-    n = mol.n_atoms
+    bond_codes = [b.order.value for b in mol.bonds]
     # (iteration, identifier, dedup key); radius-0 keys are per-atom.
     features: list[tuple[int, int, object]] = [
         (0, code, ("atom", idx)) for idx, code in enumerate(seeds)
     ]
-    if cfg.radius > 0 and n > 0:
-        dists = [_bounded_distances(mol, a, cfg.radius) for a in range(n)]
-        codes = seeds
-        for k in range(1, cfg.radius + 1):
-            new_codes = []
-            for a in range(n):
-                parts = sorted(
-                    (mol.bonds[bidx].order.code, codes[nbr])
-                    for nbr, bidx in mol.neighbors[a]
-                )
-                flat = [TAG_ECFP, k, codes[a]]
-                for bond_code, nbr_code in parts:
-                    flat.append(bond_code)
-                    flat.append(nbr_code)
-                ident = stable_hash32(*flat)
-                new_codes.append(ident)
-                env = frozenset(
-                    bidx
-                    for bidx, b in enumerate(mol.bonds)
-                    if min(dists[a].get(b.i, k + 1), dists[a].get(b.j, k + 1)) <= k - 1
-                )
-                features.append((k, ident, env))
-            codes = new_codes
+    codes = seeds
+    envs = [frozenset(bidx for _, bidx in nbrs) for nbrs in mol.neighbors]
+    for k in range(1, cfg.radius + 1):
+        if k > 1:
+            envs = [
+                env.union(*(envs[nbr] for nbr, _ in nbrs))
+                for env, nbrs in zip(envs, mol.neighbors)
+            ]
+        new_codes = []
+        for a, nbrs in enumerate(mol.neighbors):
+            parts = sorted((bond_codes[bidx], codes[nbr]) for nbr, bidx in nbrs)
+            ident = stable_hash32(TAG_ECFP, k, codes[a], *chain.from_iterable(parts))
+            new_codes.append(ident)
+            features.append((k, ident, envs[a]))
+        codes = new_codes
 
     counts: dict[int, int] = {}
     seen_envs: set[object] = set()
@@ -224,23 +219,28 @@ def _atom_type_code(mol: Molecule, idx: int) -> int:
 
 def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     """Hash (type, topological distance, type) for every heavy-atom pair
-    within the distance cap; cross-component pairs are excluded."""
-    n = mol.n_atoms
-    types = [_atom_type_code(mol, i) for i in range(n)]
-    dmat = shortest_path_matrix(mol)
-    counts: dict[int, int] = {}
-    for i in range(n):
-        if mol.atoms[i].element == 1:
+    within the distance cap; cross-component pairs are excluded.
+
+    Distances come from one breadth-first search per heavy atom that
+    stops at the cap, so the cost is the atom count times the atoms
+    within the cap.  Pairs are tallied per distinct (type, distance,
+    type) and each of those is hashed once.
+    """
+    types = [_atom_type_code(mol, i) for i in range(mol.n_atoms)]
+    heavy = [a.element != 1 for a in mol.atoms]
+    pairs: dict[tuple[int, int, int], int] = {}
+    for i, ti in enumerate(types):
+        if not heavy[i]:
             continue
-        for j in range(i + 1, n):
-            if mol.atoms[j].element == 1:
-                continue
-            d = dmat[i][j]
-            if not 1 <= d <= cfg.distance_cap:
-                continue
-            lo, hi = min(types[i], types[j]), max(types[i], types[j])
-            idx = stable_hash32(TAG_ATOM_PAIR, lo, int(d), hi) % cfg.length
-            counts[idx] = counts.get(idx, 0) + 1
+        for j, d in _bounded_distances(mol, i, cfg.distance_cap).items():
+            if j > i and heavy[j]:
+                tj = types[j]
+                key = (ti, d, tj) if ti <= tj else (tj, d, ti)
+                pairs[key] = pairs.get(key, 0) + 1
+    counts: dict[int, int] = {}
+    for key, pair_count in pairs.items():
+        idx = stable_hash32(TAG_ATOM_PAIR, *key) % cfg.length
+        counts[idx] = counts.get(idx, 0) + pair_count
     return _from_counts(counts, cfg.length, cfg.variant)
 
 
@@ -289,6 +289,7 @@ def path_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector
         idx = stable_hash32(TAG_PATH, *canon) % cfg.length
         counts[idx] = counts.get(idx, 0) + 1
 
+    codes = [b.order.value for b in mol.bonds]
     path: list[int] = []
     bond_codes: list[int] = []
     on_path = [False] * n
@@ -302,7 +303,7 @@ def path_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector
             if on_path[nbr]:
                 continue
             path.append(nbr)
-            bond_codes.append(mol.bonds[bidx].order.code)
+            bond_codes.append(codes[bidx])
             on_path[nbr] = True
             extend(nbr)
             on_path[nbr] = False

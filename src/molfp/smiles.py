@@ -31,6 +31,7 @@ from .chem import (
 )
 from .errors import (
     ChargeOverflowError,
+    RingClosureOverflowError,
     SmilesSyntaxError,
     UnbalancedParenError,
     UnclosedRingError,
@@ -298,18 +299,11 @@ def _dense_ranks(keys: list) -> list[int]:
 
 def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
     """Iterative neighborhood refinement until the partition stabilizes."""
+    codes = [b.order.value for b in mol.bonds]
     while True:
         sigs = [
-            (
-                ranks[i],
-                tuple(
-                    sorted(
-                        (mol.bonds[bidx].order.code, ranks[nbr])
-                        for nbr, bidx in mol.neighbors[i]
-                    )
-                ),
-            )
-            for i in range(mol.n_atoms)
+            (ranks[i], tuple(sorted((codes[bidx], ranks[nbr]) for nbr, bidx in nbrs)))
+            for i, nbrs in enumerate(mol.neighbors)
         ]
         new = _dense_ranks(sigs)
         if new == ranks:
@@ -447,28 +441,32 @@ def write_canonical_smiles(mol: Molecule) -> str:
             if not advanced:
                 stack.pop()
 
-    ring_numbers: dict[tuple[int, int], int] = {}
+    # Ring closures take fresh numbers 1..99 in order of opening; once
+    # those are spent, each opening reuses the lowest number not open.
+    open_rings: dict[tuple[int, int], int] = {}
     next_ring = 1
 
-    def ring_digit_str(num: int) -> str:
-        if num < 10:
-            return str(num)
-        if num < 100:
-            return f"%{num:02d}"
-        raise ValueError("more than 99 open ring closures")
+    def ring_number() -> int:
+        nonlocal next_ring
+        if next_ring < 100:
+            next_ring += 1
+            return next_ring - 1
+        free = set(range(1, 100)).difference(open_rings.values())
+        if not free:
+            raise RingClosureOverflowError("more than 99 ring closures open at once")
+        return min(free)
 
     def atom_text(idx: int) -> str:
-        nonlocal next_ring
         parts = [_atom_label(mol, idx)]
         for partner in sorted(ring_partners[idx], key=lambda p: visit_order[p]):
             key = (min(idx, partner), max(idx, partner))
-            bond = mol.bond_between(idx, partner)
-            assert bond is not None
-            if key not in ring_numbers:
-                ring_numbers[key] = next_ring
-                next_ring += 1
+            num = open_rings.pop(key, None)
+            if num is None:
+                bond = mol.bond_between(idx, partner)
+                assert bond is not None
+                num = open_rings[key] = ring_number()
                 parts.append(_bond_symbol(mol, bond))
-            parts.append(ring_digit_str(ring_numbers[key]))
+            parts.append(str(num) if num < 10 else f"%{num:02d}")
         return "".join(parts)
 
     fragments: list[str] = []

@@ -4,10 +4,22 @@ from __future__ import annotations
 
 import pytest
 
-from molfp import FingerprintConfig, Fingerprinter, BatchOptions, bulk_top_k, deserialize, transform_batch
+from molfp import (
+    BatchOptions,
+    FingerprintConfig,
+    Fingerprinter,
+    RingClosureOverflowError,
+    bulk_top_k,
+    deserialize,
+    from_smiles,
+    transform_batch,
+    write_canonical_smiles,
+)
 from molfp.cli import main, read_smi
 from molfp.engine import _row_entries
 from molfp.fingerprints import FingerprintVector
+
+from .oracles import are_isomorphic
 
 
 @pytest.fixture()
@@ -220,6 +232,75 @@ class TestCanonical:
         src.write_text("CCO\nC1CC\n")
         assert main(["canonical", str(src), str(tmp_path / "o.smi")]) == 1
         assert f"{src}:2:" in capsys.readouterr().err
+
+
+def spoked_wheel_smiles(spokes: int) -> str:
+    """A silicon hub bonded to every atom of a carbon rim (0 < spokes <= 100):
+    the hub's bonds are ring closures open at once."""
+    ring = [str(n) if n < 10 else f"%{n:02d}" for n in range(1, spokes)]
+    return "C0([Si]" + "".join(ring) + ")" + "C".join(["", *ring]) + "0"
+
+
+class TestCanonicalRingClosures:
+    # A chain of 100 cyclopropanes: 100 closures in all, one open at a time.
+    CHAIN = "C1CC1" * 100
+
+    def test_wheel_parses(self):
+        mol = from_smiles(spoked_wheel_smiles(100))
+        assert mol.n_atoms == 101
+        assert sorted(a.degree for a in mol.atoms)[-2:] == [3, 100]
+
+    def test_numbers_reused_past_99(self):
+        mol = from_smiles(self.CHAIN)
+        canon = write_canonical_smiles(mol)
+        back = from_smiles(canon)
+        assert are_isomorphic(mol, back)
+        assert write_canonical_smiles(back) == canon
+
+    def test_99_open_closures_written(self):
+        mol = from_smiles(spoked_wheel_smiles(99))
+        assert are_isomorphic(mol, from_smiles(write_canonical_smiles(mol)))
+
+    def test_100_open_closures_raise(self):
+        with pytest.raises(RingClosureOverflowError):
+            write_canonical_smiles(from_smiles(spoked_wheel_smiles(100)))
+
+    def test_skip_lists_overflow(self, tmp_path):
+        src = tmp_path / "in.smi"
+        src.write_text(f"CCO a\n{spoked_wheel_smiles(100)} wheel\n{self.CHAIN} chain\n")
+        out = tmp_path / "out.smi"
+        assert main(["canonical", str(src), str(out), "--on-error", "skip"]) == 0
+        lines = out.read_text().splitlines()
+        assert [line.split()[1] for line in lines] == ["a", "chain"]
+        errors = (tmp_path / "out.smi.errors.tsv").read_text().splitlines()
+        assert errors[1:] == [
+            "1\t2\tRingClosureOverflowError: more than 99 ring closures open at once"
+        ]
+
+    def test_raise_cites_line(self, tmp_path, capsys):
+        src = tmp_path / "in.smi"
+        src.write_text(f"CCO a\n{self.CHAIN}\n{spoked_wheel_smiles(100)} wheel\n")
+        assert main(["canonical", str(src), str(tmp_path / "o.smi")]) == 1
+        assert f"{src}:3: more than 99 ring closures open at once" in capsys.readouterr().err
+
+    def test_unexpected_exception_is_a_record_error(self, tmp_path, monkeypatch, capsys):
+        import molfp.cli
+
+        def writer(mol):
+            if mol.n_atoms == 2:
+                raise RuntimeError("writer bug")
+            return write_canonical_smiles(mol)
+
+        monkeypatch.setattr(molfp.cli, "write_canonical_smiles", writer)
+        src = tmp_path / "in.smi"
+        src.write_text("CCO\nCC\nCCC\n")
+        out = tmp_path / "out.smi"
+        assert main(["canonical", str(src), str(out), "--on-error", "skip"]) == 0
+        assert out.read_text().splitlines() == ["CCO", "CCC"]
+        errors = (tmp_path / "out.smi.errors.tsv").read_text().splitlines()
+        assert errors[1:] == ["1\t2\tRecordError: RuntimeError: writer bug"]
+        assert main(["canonical", str(src), str(out)]) == 1
+        assert f"{src}:2: RuntimeError: writer bug" in capsys.readouterr().err
 
 
 class TestSearch:

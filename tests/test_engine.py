@@ -13,6 +13,7 @@ from molfp import (
     ConfigError,
     FingerprintConfig,
     Fingerprinter,
+    RecordError,
     SmilesParser,
     ValenceError,
     benchmark,
@@ -33,6 +34,20 @@ def text_of(matrix) -> str:
 
 def ecfp_t(**kw) -> Fingerprinter:
     return Fingerprinter(FingerprintConfig(family="ecfp", **kw))
+
+
+class FailsOn(Fingerprinter):
+    """ecfp, except that one record raises an exception outside the
+    MolfpError hierarchy (module level, so workers can unpickle it)."""
+
+    def __init__(self, bad: str):
+        super().__init__(FingerprintConfig(family="ecfp", length=64))
+        self.bad = bad
+
+    def transform_one(self, record):
+        if record == self.bad:
+            raise RuntimeError("transformer bug")
+        return super().transform_one(record)
 
 
 class TestChunking:
@@ -96,6 +111,25 @@ class TestTransformBatch:
         with pytest.raises(ValenceError) as exc:
             transform_batch(smis, fp, BatchOptions(jobs=2))
         assert exc.value.record_index == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_exception_skipped(self, jobs):
+        smis = ["CCO", "CC", "CCN", "c1ccccc1"]
+        mat, report = transform_batch(
+            smis, FailsOn("CCN"), BatchOptions(jobs=jobs, error_mode="skip")
+        )
+        assert mat.rows == 3 and report.n_ok == 3
+        assert report.failures == ((2, "RecordError", "RuntimeError: transformer bug"),)
+        expected, _ = transform_batch(["CCO", "CC", "c1ccccc1"], ecfp_t(length=64), BatchOptions())
+        assert np.array_equal(mat.values, expected.values)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_exception_raised(self, jobs):
+        smis = ["CCO", "CC", "CCN", "c1ccccc1"]
+        with pytest.raises(RecordError) as exc:
+            transform_batch(smis, FailsOn("CCN"), BatchOptions(jobs=jobs))
+        assert exc.value.record_index == 2
+        assert str(exc.value) == "RuntimeError: transformer bug"
 
     def test_molecule_inputs_accepted(self):
         mols = [from_smiles("CCO"), from_smiles("CC")]

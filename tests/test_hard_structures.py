@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,16 @@ from molfp import (
     write_canonical_smiles,
 )
 from molfp.corpus import synthetic_smiles
+from molfp.fingerprints import atom_pair, ecfp, fcfp
 from molfp.smiles import parse_smiles
 
-from .oracles import are_isomorphic, permute_draft, random_permutation
+from .oracles import (
+    are_isomorphic,
+    atom_pair_feature_count,
+    ecfp_feature_count,
+    permute_draft,
+    random_permutation,
+)
 
 CAGES = [
     "C1CC2CCC1CC2",            # bicyclo[2.2.2]octane
@@ -105,6 +113,79 @@ class TestLargeRing:
             [self.MACROCYCLE, "CCO"], fp, BatchOptions(error_mode="skip")
         )
         assert mat.rows == 2
+
+
+def _ring_digit(n: int) -> str:
+    return str(n) if n < 10 else f"%{n:02d}"
+
+
+def polyacene(rings: int) -> str:
+    """Linearly fused benzene rings (rings >= 2): 4 * rings + 2 atoms."""
+    inner = range(3, rings + 1)
+    return (
+        "c1ccc2"
+        + "".join(f"cc{_ring_digit(i)}" for i in inner)
+        + f"ccccc{_ring_digit(rings)}"
+        + "".join(f"cc{_ring_digit(i)}" for i in reversed(range(2, rings)))
+        + "c1"
+    )
+
+
+LARGE = {
+    "chain300": "C" * 300,
+    "ring280": "C1" + "C" * 279 + "1",
+    "polyacene30": polyacene(30),
+}
+
+
+def _count_total(mol, family: str, **kw) -> int:
+    """Feature total of the count variant, after checking that the
+    binary variant has the same support."""
+    fp = {"ecfp": ecfp, "fcfp": fcfp, "atom_pair": atom_pair}[family]
+    count = fp(mol, FingerprintConfig(family=family, variant="count", **kw))
+    binary = fp(mol, FingerprintConfig(family=family, variant="binary", **kw))
+    assert set(binary.entries) == set(count.entries)
+    return sum(count.entries.values())
+
+
+class TestLargeMoleculeOracles:
+    # Feature totals of the graph layers on molecules of hundreds of
+    # atoms against the brute-force counts of tests/oracles.py.
+
+    def test_shapes(self):
+        sizes = {name: from_smiles(smi) for name, smi in LARGE.items()}
+        assert sizes["chain300"].n_atoms == 300
+        assert [len(r) for r in sizes["ring280"].rings.rings] == [280]
+        acene = sizes["polyacene30"]
+        assert acene.n_atoms == 122
+        assert sorted(len(r) for r in acene.rings.rings) == [6] * 30
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_circular_totals(self, name):
+        mol = from_smiles(LARGE[name])
+        for radius in range(4):
+            expected = ecfp_feature_count(mol, radius)
+            assert _count_total(mol, "ecfp", radius=radius) == expected, radius
+            assert _count_total(mol, "fcfp", radius=radius) == expected, radius
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_atom_pair_totals(self, name):
+        mol = from_smiles(LARGE[name])
+        for cap in (1, 5, 30):
+            expected = atom_pair_feature_count(mol, cap)
+            assert _count_total(mol, "atom_pair", distance_cap=cap) == expected, cap
+
+
+def test_long_chain_graph_layers_near_linear():
+    # Quadratic parse, environment or pair code takes tens of seconds
+    # here; the linear layers take well under one.
+    start = time.perf_counter()
+    mol = from_smiles("C" * 3000)
+    ecfp(mol, FingerprintConfig(family="ecfp"))
+    pairs = atom_pair(mol, FingerprintConfig(family="atom_pair", variant="count"))
+    elapsed = time.perf_counter() - start
+    assert sum(pairs.entries.values()) == sum(3000 - d for d in range(1, 31))
+    assert elapsed < 5.0, f"{elapsed:.2f} s"
 
 
 @settings(max_examples=60, deadline=None)
