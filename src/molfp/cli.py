@@ -12,16 +12,10 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .engine import (
-    BatchOptions,
-    Fingerprinter,
-    benchmark,
-    transform_batch,
-    _row_entries,
-)
+from .engine import BatchOptions, Fingerprinter, benchmark, transform_batch
 from .errors import MolfpError, as_record_error
 from .corpus import synthetic_smiles
-from .fingerprints import FingerprintConfig, FingerprintVector
+from .fingerprints import FingerprintConfig
 from .matrix import serialize
 from .similarity import bulk_top_k
 from .smiles import parse_smiles, write_canonical_smiles
@@ -168,11 +162,7 @@ def cmd_search(args) -> int:
         fp = _build_fingerprinter(args, output="sparse")
         opts = BatchOptions(jobs=args.jobs)
         db, _ = transform_batch([r.smiles for r in records], fp, opts, output="sparse")
-        qrow = fp.transform_one(args.query)
-        query = FingerprintVector(
-            fp.n_cols, "binary", {i: 1 for i in _row_entries(qrow)}
-        )
-        hits = bulk_top_k(query, db, args.top_k, args.metric)
+        hits = bulk_top_k(fp.transform_one(args.query), db, args.top_k, args.metric)
         out = sys.stdout
         out.write("rank\tline\tname\tscore\n")
         for rank, hit in enumerate(hits, start=1):

@@ -30,45 +30,41 @@ from .hashing import (
     TAG_TORSION,
     stable_hash32,
 )
-from .smarts import MoleculeView, SmartsKey, count_unique, has_match, load_key_set
-
-FAMILIES = (
-    "ecfp",
-    "fcfp",
-    "atom_pair",
-    "topological_torsion",
-    "path",
-    "substructure",
-    "descriptors",
+from .smarts import (
+    MoleculeView, SmartsKey, count_unique, default_key_set_path, has_match, load_key_set
 )
 
 N_DESCRIPTORS = 10
 
+# Row variant -> matrix dtype, narrowest first; a union takes the widest.
+VARIANT_DTYPES = {"binary": "u8", "count": "u32", "real": "f64"}
+
 
 @dataclass(frozen=True)
 class FingerprintVector:
-    """Sparse per-molecule feature vector.
+    """Sparse per-molecule feature vector, the row of every transformer.
 
-    ``entries`` maps index to positive count; the binary variant stores
-    only ones.  Zero-valued entries are never stored.
+    ``entries`` maps index to value: ones for the binary variant,
+    positive counts for the count variant, any nonzero float for the
+    real variant (descriptors).  Zero-valued entries are never stored.
     """
 
     length: int
     variant: str
-    entries: dict[int, int] = field(default_factory=dict)
+    entries: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.length < 0:
             raise ValueError("negative length")
-        if self.variant not in ("binary", "count"):
+        if self.variant not in VARIANT_DTYPES:
             raise ValueError(f"bad variant {self.variant!r}")
-        for idx, count in self.entries.items():
+        for idx, value in self.entries.items():
             if not 0 <= idx < self.length:
                 raise ValueError(f"index {idx} out of range for length {self.length}")
-            if count < 1:
-                raise ValueError(f"non-positive count at index {idx}")
-            if self.variant == "binary" and count != 1:
-                raise ValueError(f"binary vector stores count {count} at index {idx}")
+            if value < 1 and (value == 0 or self.variant != "real"):
+                raise ValueError(f"{self.variant} vector stores {value} at index {idx}")
+            if self.variant == "binary" and value != 1:
+                raise ValueError(f"binary vector stores count {value} at index {idx}")
 
     def to_binary(self) -> "FingerprintVector":
         if self.variant == "binary":
@@ -98,7 +94,7 @@ class FingerprintConfig:
     output: str = "dense"
 
     def validate(self) -> None:
-        if self.family not in FAMILIES:
+        if self.family not in FAMILY_ROWS:
             raise ConfigError(f"unknown fingerprint family {self.family!r}")
         if self.length < 1:
             raise ConfigError("length must be positive")
@@ -405,42 +401,50 @@ def descriptors(mol: Molecule) -> tuple[float, ...]:
 
 def fold(v: FingerprintVector, target: int) -> FingerprintVector:
     """Reduce length by combining indices congruent modulo target:
-    OR for binary vectors, sum for counts."""
+    OR for binary vectors, sum for counts and reals (a real sum of
+    exactly zero is dropped)."""
     if target < 1 or v.length % target != 0:
         raise FoldError(f"target {target} does not divide length {v.length}")
-    entries: dict[int, int] = {}
-    for idx, count in v.entries.items():
+    entries: dict[int, float] = {}
+    for idx, value in v.entries.items():
         j = idx % target
-        entries[j] = entries.get(j, 0) + count
+        entries[j] = entries.get(j, 0) + value
     if v.variant == "binary":
         entries = {j: 1 for j in entries}
+    elif v.variant == "real":
+        entries = {j: x for j, x in entries.items() if x != 0}
     return FingerprintVector(target, v.variant, entries)
+
+
+def _descriptor_vector(mol: Molecule) -> FingerprintVector:
+    values = descriptors(mol)
+    return FingerprintVector(N_DESCRIPTORS, "real", {i: v for i, v in enumerate(values) if v != 0})
+
+
+# family -> row function (mol, cfg, keys) -> FingerprintVector
+FAMILY_ROWS = {
+    "ecfp": lambda mol, cfg, keys: ecfp(mol, cfg),
+    "fcfp": lambda mol, cfg, keys: fcfp(mol, cfg),
+    "atom_pair": lambda mol, cfg, keys: atom_pair(mol, cfg),
+    "topological_torsion": lambda mol, cfg, keys: topological_torsion(mol, cfg),
+    "path": lambda mol, cfg, keys: path_fingerprint(mol, cfg),
+    "substructure": lambda mol, cfg, keys: substructure_fingerprint(mol, keys, cfg.variant),
+    "descriptors": lambda mol, cfg, keys: _descriptor_vector(mol),
+}
 
 
 def compute(
     mol: Molecule, cfg: FingerprintConfig, keys: tuple[SmartsKey, ...] | None = None
 ) -> FingerprintVector | tuple[float, ...]:
-    """Dispatch on the configured family.
+    """Validate the config, then compute its family.
 
     Substructure configs need compiled keys; they are loaded from the
     configured path when not supplied.  Descriptors return the raw
     real-valued tuple rather than a sparse vector.
     """
     cfg.validate()
-    if cfg.family == "ecfp":
-        return ecfp(mol, cfg)
-    if cfg.family == "fcfp":
-        return fcfp(mol, cfg)
-    if cfg.family == "atom_pair":
-        return atom_pair(mol, cfg)
-    if cfg.family == "topological_torsion":
-        return topological_torsion(mol, cfg)
-    if cfg.family == "path":
-        return path_fingerprint(mol, cfg)
-    if cfg.family == "substructure":
-        if keys is None:
-            from .smarts import default_key_set_path
-
-            keys = load_key_set(cfg.key_set_path or default_key_set_path())
-        return substructure_fingerprint(mol, keys, cfg.variant)
-    return descriptors(mol)
+    if cfg.family == "descriptors":
+        return descriptors(mol)
+    if cfg.family == "substructure" and keys is None:
+        keys = load_key_set(cfg.key_set_path or default_key_set_path())
+    return FAMILY_ROWS[cfg.family](mol, cfg, keys)

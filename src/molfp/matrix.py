@@ -17,6 +17,7 @@ from typing import IO, Iterable, Mapping
 import numpy as np
 
 from .errors import FormatError, ShapeError
+from .fingerprints import VARIANT_DTYPES
 
 _NUMPY_DTYPE = {"u8": np.uint8, "u32": np.uint32, "f64": np.float64}
 _ELEMENT_SIZE = {"u8": 1, "u32": 4, "f64": 8}
@@ -71,10 +72,15 @@ class CsrMatrix:
         if nnz:
             if self.indices.min() < 0 or self.indices.max() >= self.cols:
                 raise ShapeError("column index out of range")
-            for r in range(self.rows):
-                row = self.indices[self.indptr[r] : self.indptr[r + 1]]
-                if row.size > 1 and np.any(np.diff(row) <= 0):
-                    raise ShapeError(f"row {r} indices not strictly increasing")
+            # Indices must rise from position p to p + 1 unless a row starts at p + 1.
+            down = self.indices[1:] <= self.indices[:-1]
+            starts = np.zeros(nnz + 1, dtype=bool)
+            starts[self.indptr[:-1]] = True
+            down[starts[1:nnz]] = False
+            bad = np.flatnonzero(down)
+            if bad.size:
+                r = int(np.searchsorted(self.indptr, bad[0] + 1, side="right")) - 1
+                raise ShapeError(f"row {r} indices not strictly increasing")
             if np.any(self.data == 0):
                 raise ShapeError("stored zero in CSR data")
 
@@ -89,14 +95,9 @@ Matrix = DenseMatrix | CsrMatrix
 def from_entry_rows(
     rows: Iterable[Mapping[int, float]], cols: int, dtype: str, output: str = "dense"
 ) -> Matrix:
-    """Build a matrix from sparse row mappings (index -> nonzero value)."""
+    """Build a matrix from sparse row mappings (index -> nonzero value);
+    dense output is the CSR matrix expanded by ``to_dense``."""
     rows = list(rows)
-    if output == "dense":
-        values = np.zeros((len(rows), cols), dtype=_NUMPY_DTYPE[dtype])
-        for r, entries in enumerate(rows):
-            for idx, val in entries.items():
-                values[r, idx] = val
-        return DenseMatrix(values, dtype)
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -106,13 +107,34 @@ def from_entry_rows(
                 indices.append(idx)
                 data.append(entries[idx])
         indptr.append(len(indices))
-    return CsrMatrix(
+    m = CsrMatrix(
         rows=len(rows),
         cols=cols,
         dtype=dtype,
         indptr=np.array(indptr, dtype=np.int32),
         indices=np.array(indices, dtype=np.int32),
         data=np.array(data, dtype=_NUMPY_DTYPE[dtype]),
+    )
+    return to_dense(m) if output == "dense" else m
+
+
+def vstack(blocks: list[CsrMatrix]) -> CsrMatrix:
+    """Stack CSR blocks of one width and dtype, top to bottom: each
+    block's indptr is offset by the entries of the blocks above it."""
+    first = blocks[0]
+    for b in blocks:
+        if (b.cols, b.dtype) != (first.cols, first.dtype):
+            raise ShapeError(f"cannot stack {b.dtype} x {b.cols} on {first.dtype} x {first.cols}")
+    if len(blocks) == 1:
+        return first
+    offsets = np.cumsum([0] + [b.nnz for b in blocks[:-1]])
+    return CsrMatrix(
+        rows=sum(b.rows for b in blocks),
+        cols=first.cols,
+        dtype=first.dtype,
+        indptr=np.concatenate([[0]] + [b.indptr[1:] + off for b, off in zip(blocks, offsets)]),
+        indices=np.concatenate([b.indices for b in blocks]),
+        data=np.concatenate([b.data for b in blocks]),
     )
 
 
@@ -133,35 +155,24 @@ def from_rows(vectors: list, output: str = "dense", cols: int | None = None) -> 
             raise ShapeError(f"mixed vector lengths: {v.length} vs {length}")
         if v.variant != variant:
             raise ShapeError(f"mixed vector variants: {v.variant} vs {variant}")
-    dtype = "u8" if variant == "binary" else "u32"
-    return from_entry_rows((v.entries for v in vectors), length, dtype, output)
+    return from_entry_rows((v.entries for v in vectors), length, VARIANT_DTYPES[variant], output)
 
 
 def to_csr(m: DenseMatrix) -> CsrMatrix:
-    indptr = [0]
-    indices: list[int] = []
-    data: list = []
-    for r in range(m.rows):
-        row = m.values[r]
-        nz = np.flatnonzero(row)
-        indices.extend(int(c) for c in nz)
-        data.extend(row[nz])
-        indptr.append(len(indices))
+    rows, cols = np.nonzero(m.values)
     return CsrMatrix(
         rows=m.rows,
         cols=m.cols,
         dtype=m.dtype,
-        indptr=np.array(indptr, dtype=np.int32),
-        indices=np.array(indices, dtype=np.int32),
-        data=np.array(data, dtype=_NUMPY_DTYPE[m.dtype]),
+        indptr=np.concatenate(([0], np.cumsum(np.count_nonzero(m.values, axis=1)))),
+        indices=cols,
+        data=m.values[rows, cols],
     )
 
 
 def to_dense(c: CsrMatrix) -> DenseMatrix:
     values = np.zeros((c.rows, c.cols), dtype=_NUMPY_DTYPE[c.dtype])
-    for r in range(c.rows):
-        lo, hi = int(c.indptr[r]), int(c.indptr[r + 1])
-        values[r, c.indices[lo:hi]] = c.data[lo:hi]
+    values[np.repeat(np.arange(c.rows), np.diff(c.indptr)), c.indices] = c.data
     return DenseMatrix(values, c.dtype)
 
 
@@ -197,7 +208,7 @@ def serialize(m: Matrix, sink: IO[str]) -> None:
     if isinstance(m, DenseMatrix):
         sink.write(f"DENSEv1 {m.rows} {m.cols} {m.dtype}\n")
         for r in range(m.rows):
-            sink.write(" ".join(_format_value(v, m.dtype) for v in m.values[r]))
+            sink.write(" ".join(map(repr, m.values[r].tolist())))
             sink.write("\n")
     else:
         sink.write(f"CSRv1 {m.rows} {m.cols} {m.nnz} {m.dtype}\n")

@@ -16,8 +16,6 @@ from molfp import (
     write_canonical_smiles,
 )
 from molfp.cli import main, read_smi
-from molfp.engine import _row_entries
-from molfp.fingerprints import FingerprintVector
 
 from .oracles import are_isomorphic
 
@@ -361,8 +359,7 @@ class TestSearch:
         records = read_smi(smi_file)
         fp = Fingerprinter(FingerprintConfig(family="path", output="sparse"))
         db, _ = transform_batch([r.smiles for r in records], fp, BatchOptions(), output="sparse")
-        qrow = fp.transform_one("c1ccccc1O")
-        query = FingerprintVector(fp.n_cols, "binary", {i: 1 for i in _row_entries(qrow)})
+        query = fp.transform_one("c1ccccc1O")
         hits = bulk_top_k(query, db, 3, "dice")
         for line, hit in zip(out_lines, hits):
             rank, lineno, name, score = line.split("\t")

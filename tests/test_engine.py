@@ -17,6 +17,7 @@ from molfp import (
     SmilesParser,
     ValenceError,
     benchmark,
+    descriptors,
     from_smiles,
     pipeline,
     serialize,
@@ -165,6 +166,11 @@ class TestTransformBatch:
         mat, _ = transform_batch(["CCO", "c1ccccc1"], fp, BatchOptions())
         assert mat.dtype == "f64" and mat.cols == 10
         assert mat.values[0, 0] == pytest.approx(46.069, abs=0.01)
+        for smi in ("CCO", "c1ccccc1", "CC(=O)[O-]"):
+            row = fp.transform_one(smi)
+            values = descriptors(from_smiles(smi))
+            assert row.variant == "real" and row.length == 10
+            assert row.entries == {i: v for i, v in enumerate(values) if v != 0}
 
     def test_bad_options(self):
         fp = ecfp_t()
@@ -261,6 +267,24 @@ class TestUnion:
         u = union([ecfp_t(length=32), Fingerprinter(FingerprintConfig(family="descriptors"))])
         mat, _ = transform_batch(corpus1000[:5], u, BatchOptions())
         assert mat.dtype == "f64" and mat.cols == 42
+        row = u.transform_one(corpus1000[0])
+        assert row.variant == "real" and row.length == 42
+        assert union([ecfp_t(), ecfp_t(variant="count")]).transform_one("CCO").variant == "count"
+
+    @pytest.mark.parametrize("output", ["dense", "sparse"])
+    def test_count_and_descriptor_union_same_bytes_in_chunks(self, corpus1000, output):
+        descriptor_t = Fingerprinter(FingerprintConfig(family="descriptors"))
+        u = union([ecfp_t(length=64, variant="count"), descriptor_t])
+        good = list(corpus1000[:7])
+        # With chunk_size=2 the chunk of records 2 and 3 has no row.
+        mixed = good[:2] + ["C1CC", "[H]=[H]"] + good[2:] + ["C(C"]
+        m1, _ = transform_batch(good, u, BatchOptions(jobs=1), output=output)
+        m2, report = transform_batch(
+            mixed, u, BatchOptions(jobs=2, chunk_size=2, error_mode="skip"), output=output
+        )
+        assert [f[0] for f in report.failures] == [2, 3, 9]
+        assert text_of(m1) == text_of(m2)
+        assert text_of(m1).startswith("DENSEv1" if output == "dense" else "CSRv1")
 
     def test_in_pipeline(self, corpus1000):
         u = union([ecfp_t(length=64), ecfp_t(length=32)])

@@ -300,6 +300,9 @@ class TestVectorAndConfig:
             FingerprintVector(4, "count", {0: 0})
         with pytest.raises(ValueError):
             FingerprintVector(4, "nope", {})
+        with pytest.raises(ValueError):
+            FingerprintVector(4, "real", {0: 0.0})
+        assert FingerprintVector(4, "real", {1: -0.5}).entries == {1: -0.5}
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

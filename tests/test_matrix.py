@@ -23,6 +23,7 @@ from molfp import (
     to_csr,
     to_dense,
 )
+from molfp.matrix import vstack
 
 MIB = 1024 * 1024
 
@@ -87,6 +88,18 @@ class TestConversions:
         assert c.nnz == 0
         assert np.array_equal(to_dense(c).values, np.zeros((3, 4)))
 
+    def test_vstack_offsets_indptr(self):
+        top = to_csr(DenseMatrix(np.array([[0, 2, 0], [1, 0, 3]]), "u32"))
+        empty = to_csr(DenseMatrix(np.zeros((0, 3)), "u32"))
+        bottom = to_csr(DenseMatrix(np.array([[0, 0, 0], [0, 5, 0]]), "u32"))
+        stacked = vstack([top, empty, bottom])
+        assert list(stacked.indptr) == [0, 1, 3, 3, 4]
+        assert list(stacked.indices) == [1, 0, 2, 1]
+        expected = [[0, 2, 0], [1, 0, 3], [0, 0, 0], [0, 5, 0]]
+        assert np.array_equal(to_dense(stacked).values, expected)
+        with pytest.raises(ShapeError):
+            vstack([top, to_csr(DenseMatrix(np.zeros((1, 3)), "u8"))])
+
     def test_random_roundtrip(self):
         rng = random.Random(99)
         for _ in range(5):
@@ -105,6 +118,18 @@ class TestValidation:
     def test_indices_strictly_increasing(self):
         with pytest.raises(ShapeError):
             CsrMatrix(1, 3, "u8", np.array([0, 2]), np.array([1, 1]), np.array([1, 1]))
+        # Row starts may step down; inside row 3 a repeat or a descent may not,
+        # also when row 3 follows an empty row or is the last row.
+        for indptr, indices in (
+            ([0, 2, 3, 5, 7], [0, 2, 1, 0, 3, 2, 2]),
+            ([0, 2, 3, 3, 5], [0, 2, 1, 2, 1]),
+            ([0, 1, 1, 1, 3, 4], [4, 3, 3, 0]),
+            ([0, 2, 3, 3, 5, 5], [0, 2, 1, 4, 4]),
+        ):
+            data = np.ones(len(indices))
+            with pytest.raises(ShapeError, match="row 3"):
+                CsrMatrix(len(indptr) - 1, 5, "u8", np.array(indptr), np.array(indices), data)
+        CsrMatrix(4, 5, "u8", np.array([0, 2, 3, 3, 5]), np.array([0, 2, 1, 0, 4]), np.ones(5))
 
     def test_no_stored_zeros(self):
         with pytest.raises(ShapeError):
