@@ -3,7 +3,7 @@ keeps every output byte-identical.
 
 Covers the seven families x binary/count x dense/sparse and three unions
 (two of them with descriptors), each at jobs 1 and 2, over
-``synthetic_smiles(count, seed)``; then skip-mode runs at jobs 2 with
+``synthetic_smiles(2000, seed=13)``; then skip-mode runs at jobs 2 with
 chunk_size 7, where failing records fill one chunk entirely, and an
 empty input.
 
@@ -15,7 +15,6 @@ Usage (one source tree against another):
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import io
 
@@ -65,12 +64,7 @@ def digest(matrix) -> str:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--count", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=13)
-    args = ap.parse_args()
-
-    smiles = synthetic_smiles(args.count, args.seed)
+    smiles = synthetic_smiles(2000, seed=13)
     for label, t in transformers():
         for jobs in (1, 2):
             for output in ("dense", "sparse"):

@@ -62,7 +62,6 @@ class Fingerprinter:
             )
         else:
             self.keys = None
-        self._row = FAMILY_ROWS[config.family]
 
     @property
     def n_cols(self) -> int:
@@ -83,15 +82,7 @@ class Fingerprinter:
     def transform_one(self, record) -> FingerprintVector:
         if isinstance(record, str):
             record = sanitize(parse_smiles(record))
-        return self._row(record, self.config, self.keys)
-
-    def __getstate__(self):
-        # Row functions are lambdas: a worker looks its own up again.
-        return {k: v for k, v in vars(self).items() if k != "_row"}
-
-    def __setstate__(self, state):
-        vars(self).update(state)
-        self._row = FAMILY_ROWS[self.config.family]
+        return FAMILY_ROWS[self.config.family](record, self.config, self.keys)
 
 
 class Pipeline:
@@ -133,18 +124,13 @@ class Union:
 
     def __init__(self, branches: tuple):
         self.branches = branches
+        self.n_cols = sum(b.n_cols for b in branches)
+        order = list(VARIANT_DTYPES)
+        self.variant = max((b.variant for b in branches), key=order.index)
 
     @property
     def input_kind(self) -> str:
         return self.branches[0].input_kind
-
-    @property
-    def n_cols(self) -> int:
-        return sum(b.n_cols for b in self.branches)
-
-    @property
-    def variant(self) -> str:
-        return max((b.variant for b in self.branches), key=list(VARIANT_DTYPES).index)
 
     @property
     def output_form(self) -> str:

@@ -229,6 +229,8 @@ class TestFold:
     def test_count_sums(self):
         v = FingerprintVector(4, "count", {0: 2, 2: 1})
         assert fold(v, 2).entries == {0: 3}
+        v = FingerprintVector(4, "real", {0: 0.5, 2: -0.5, 1: 2.0})
+        assert fold(v, 2).entries == {1: 2.0}
 
     def test_nondivisor_rejected(self):
         with pytest.raises(FoldError):
