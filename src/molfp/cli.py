@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import BatchOptions, Fingerprinter, benchmark, transform_batch
-from .errors import MolfpError, as_record_error
+from .errors import FormatError, MolfpError, as_record_error
 from .corpus import synthetic_smiles
 from .fingerprints import FingerprintConfig
 from .matrix import serialize
@@ -41,10 +41,15 @@ class SmiRecord:
 
 def read_smi(path: str) -> list[SmiRecord]:
     """Read the .smi record grammar: one record per line, '#' lines and
-    blank lines skipped, first whitespace splits SMILES from name."""
+    blank lines skipped, first whitespace splits SMILES from name.  A
+    line that is not UTF-8 raises FormatError with its line number."""
     records = []
-    with open(path) as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, raw in enumerate(f, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise FormatError("not UTF-8 text", lineno) from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -55,13 +60,12 @@ def read_smi(path: str) -> list[SmiRecord]:
 
 
 def _jobs_arg(value: str):
+    """A worker count: "auto" or a positive integer, else ValueError."""
     if value == "auto":
         return "auto"
+    if int(value) < 1:
+        raise ValueError(f"not a positive worker count: {value!r}")
     return int(value)
-
-
-def _default_jobs():
-    return _jobs_arg(os.environ.get("MOLFP_JOBS", "1"))
 
 
 def _add_fingerprint_args(p: argparse.ArgumentParser) -> None:
@@ -96,6 +100,8 @@ def _fail(message: str) -> int:
 
 
 def _failure_location(path: str, records: list[SmiRecord], exc: MolfpError) -> str:
+    if isinstance(exc, FormatError):
+        return f"{path}:{exc.line}: {exc.message}"
     idx = getattr(exc, "record_index", None)
     if idx is not None and 0 <= idx < len(records):
         return f"{path}:{records[idx].line_number}: {exc}"
@@ -110,6 +116,7 @@ def _write_errors_tsv(path: str, records: list[SmiRecord], failures) -> None:
 
 
 def cmd_compute(args) -> int:
+    records: list[SmiRecord] = []
     try:
         records = read_smi(args.input)
         fp = _build_fingerprinter(args, output=args.output)
@@ -129,6 +136,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_canonical(args) -> int:
+    records: list[SmiRecord] = []
     try:
         records = read_smi(args.input)
         lines = []
@@ -157,6 +165,7 @@ def cmd_canonical(args) -> int:
 
 
 def cmd_search(args) -> int:
+    records: list[SmiRecord] = []
     try:
         records = read_smi(args.database)
         fp = _build_fingerprinter(args, output="sparse")
@@ -176,6 +185,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    records: list[SmiRecord] = []
     try:
         records = read_smi(args.input)
         fp = _build_fingerprinter(args)
@@ -191,7 +201,7 @@ def cmd_benchmark(args) -> int:
     except ValueError:
         return _fail(f"bad --jobs-list {args.jobs_list!r}")
     except MolfpError as exc:
-        return _fail(str(exc))
+        return _fail(_failure_location(args.input, records, exc))
     except OSError as exc:
         return _fail(str(exc))
 
@@ -216,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("outfile")
     _add_fingerprint_args(p)
     p.add_argument("--output", choices=["dense", "sparse"], default="dense")
-    p.add_argument("--jobs", type=_jobs_arg, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs_arg, default=None)
     p.add_argument("--chunk-size", type=int, default=None)
     p.add_argument("--on-error", choices=["raise", "skip"], default="raise")
     p.set_defaults(func=cmd_compute)
@@ -233,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fingerprint_args(p)
     p.add_argument("--metric", choices=["tanimoto", "dice"], default="tanimoto")
     p.add_argument("--top-k", type=int, default=10)
-    p.set_defaults(func=cmd_search, jobs=_default_jobs())
+    p.set_defaults(func=cmd_search, jobs=None)
 
     p = sub.add_parser("benchmark", help="wall-clock speedup table")
     p.add_argument("input")
@@ -253,6 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "jobs", 0) is None:  # compute or search without --jobs
+        env = os.environ.get("MOLFP_JOBS", "1")
+        try:
+            args.jobs = _jobs_arg(env)
+        except ValueError:
+            message = f"MOLFP_JOBS must be a positive integer or 'auto', got {env!r}"
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

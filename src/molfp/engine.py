@@ -44,9 +44,10 @@ class Fingerprinter:
     """Molecule-to-vector stage for one fingerprint family.
 
     Accepts raw SMILES records as well, converting internally, so it can
-    be used standalone on string sequences.  The config is validated,
-    the family function resolved and substructure key sets compiled at
-    construction: a bad config or key file fails here, never mid-batch.
+    be used standalone on string sequences.  The config is validated
+    and substructure key sets are loaded and parsed at construction: a
+    bad config or key file fails here, never mid-batch.  The family's
+    row function is looked up in FAMILY_ROWS on each call.
     Descriptors come out as a "real" vector without their exact zeros.
     """
 

@@ -75,7 +75,7 @@ class CompositionError(MolfpError):
 
 
 class FormatError(MolfpError):
-    """Malformed serialized matrix, carries the offending line number."""
+    """Malformed serialized matrix or .smi input; carries the offending line number."""
 
     def __init__(self, message: str, line: int = 0):
         super().__init__(message, line)

@@ -8,12 +8,16 @@ component grouping are rejected as unsupported.
 
 Matching enumerates injective homomorphisms (pattern bonds must exist
 and match in the target; extra target bonds are allowed) by
-backtracking, assigning the most constrained query atoms first.
+backtracking, assigning the most constrained query atoms first.  Each
+atom and bond expression is evaluated once per molecule as an integer
+bitmask over atoms or bonds (see MoleculeView); a pattern with more
+atoms than the molecule, or with an atom no target atom satisfies, is
+screened out before backtracking starts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -29,6 +33,7 @@ from .chem import (
 from .errors import KeySetError, SmartsSyntaxError, UnsupportedPrimitiveError
 
 _BOND_CHARS = set("-=#:~@!&,;")
+_BARE_ATOM_STARTS = ORGANIC_ONE | ORGANIC_AROMATIC | set("*aA")
 
 
 @dataclass(frozen=True)
@@ -55,91 +60,95 @@ class Or:
 
 
 class MoleculeView:
-    """Per-molecule property arrays the compiled predicates read.
+    """One molecule's SMARTS expressions evaluated as integer bitmasks.
 
-    Building one is cheap but not free; callers matching many patterns
-    against the same molecule should build it once and reuse it.
+    Bit ``i`` of an atom mask is atom ``i``; bit ``b`` of a bond mask is
+    bond ``b``.  Masks are cached per ``(bond, expr)``, so sub-expressions
+    shared between patterns are evaluated once per molecule; callers
+    matching many patterns against one molecule should reuse one view.
     """
 
     def __init__(self, mol: Molecule):
-        n = mol.n_atoms
-        self.n = n
-        self.element = [a.element for a in mol.atoms]
-        self.aromatic = [a.aromatic for a in mol.atoms]
-        self.degree = [a.degree for a in mol.atoms]
-        self.charge = [a.charge for a in mol.atoms]
-        self.total_h = list(mol.total_h)
-        self.connectivity = [
-            len(mol.neighbors[i]) + mol.atoms[i].implicit_h for i in range(n)
-        ]
-        self.in_ring = list(mol.rings.atom_in_ring)
-        self.ring_count = list(mol.rings.atom_ring_count)
-        self.smallest_ring = list(mol.rings.smallest_ring_size)
-        self.bond_order = [b.order for b in mol.bonds]
-        self.bond_in_ring = list(mol.rings.bond_in_ring)
+        self.mol = mol
+        self.n = mol.n_atoms
         self.neighbors = mol.neighbors
+        self.masks: dict[tuple[bool, object], int] = {}
+
+    def mask(self, expr, bond: bool = False) -> int:
+        """Atoms (or, with ``bond``, bonds) that satisfy ``expr``."""
+        key = (bond, expr)
+        m = self.masks.get(key)
+        if m is not None:
+            return m
+        if isinstance(expr, Prim):
+            flags = _bond_flags(self.mol, expr) if bond else _atom_flags(self.mol, expr)
+            m = sum(1 << i for i, flag in enumerate(flags) if flag)
+        elif isinstance(expr, Not):
+            full = (1 << (len(self.mol.bonds) if bond else self.n)) - 1
+            m = full & ~self.mask(expr.arg, bond)
+        elif isinstance(expr, And):
+            m = -1
+            for arg in expr.args:
+                m &= self.mask(arg, bond)
+        elif isinstance(expr, Or):
+            m = 0
+            for arg in expr.args:
+                m |= self.mask(arg, bond)
+        else:
+            raise AssertionError(f"bad expression {expr!r}")
+        self.masks[key] = m
+        return m
 
 
-def _compile(expr, leaf):
-    """Compile an expression tree into a ``(view, index) -> bool``
-    predicate; ``leaf`` compiles each Prim."""
-    if isinstance(expr, Prim):
-        return leaf(expr)
-    if isinstance(expr, Not):
-        inner = _compile(expr.arg, leaf)
-        return lambda v, i: not inner(v, i)
-    if isinstance(expr, And):
-        parts = [_compile(a, leaf) for a in expr.args]
-        return lambda v, i: all(p(v, i) for p in parts)
-    if isinstance(expr, Or):
-        parts = [_compile(a, leaf) for a in expr.args]
-        return lambda v, i: any(p(v, i) for p in parts)
-    raise AssertionError(f"bad expression {expr!r}")
-
-
-def _atom_leaf(prim: Prim):
+def _atom_flags(mol: Molecule, prim: Prim):
+    """Per-atom truth values of one atom primitive."""
     kind, value = prim.kind, prim.value
+    atoms, rings = mol.atoms, mol.rings
     if kind == "element":
-        return lambda v, i: v.element[i] == value
+        return [a.element == value for a in atoms]
     if kind == "symbol_aliphatic":
-        return lambda v, i: v.element[i] == value and not v.aromatic[i]
+        return [a.element == value and not a.aromatic for a in atoms]
     if kind == "symbol_aromatic":
-        return lambda v, i: v.element[i] == value and v.aromatic[i]
+        return [a.element == value and a.aromatic for a in atoms]
     if kind == "aromatic":
-        return lambda v, i: v.aromatic[i]
+        return [a.aromatic for a in atoms]
     if kind == "aliphatic":
-        return lambda v, i: not v.aromatic[i]
+        return [not a.aromatic for a in atoms]
     if kind == "wildcard":
-        return lambda v, i: True
+        return [True] * len(atoms)
     if kind == "degree":
-        return lambda v, i: v.degree[i] == value
+        return [a.degree == value for a in atoms]
     if kind == "total_h":
-        return lambda v, i: v.total_h[i] == value
+        return [h == value for h in mol.total_h]
     if kind == "connectivity":
-        return lambda v, i: v.connectivity[i] == value
+        return [len(nbrs) + a.implicit_h == value for a, nbrs in zip(atoms, mol.neighbors)]
     if kind == "in_ring":
-        return lambda v, i: v.in_ring[i]
+        return rings.atom_in_ring
     if kind == "ring_count":
-        return lambda v, i: v.ring_count[i] == value
+        return [c == value for c in rings.atom_ring_count]
     if kind == "ring_size":
-        return lambda v, i: v.smallest_ring[i] == value
+        return [s == value for s in rings.smallest_ring_size]
     if kind == "charge":
-        return lambda v, i: v.charge[i] == value
+        return [a.charge == value for a in atoms]
     raise AssertionError(f"unknown atom primitive {kind}")
 
 
-_BOND_LEAVES = {
-    "single": lambda v, b: v.bond_order[b] is BondOrder.SINGLE,
-    "double": lambda v, b: v.bond_order[b] is BondOrder.DOUBLE,
-    "triple": lambda v, b: v.bond_order[b] is BondOrder.TRIPLE,
-    "aromatic": lambda v, b: v.bond_order[b] is BondOrder.AROMATIC,
-    "any": lambda v, b: True,
-    "ring": lambda v, b: v.bond_in_ring[b],
+_BOND_ORDERS = {
+    "single": BondOrder.SINGLE,
+    "double": BondOrder.DOUBLE,
+    "triple": BondOrder.TRIPLE,
+    "aromatic": BondOrder.AROMATIC,
 }
 
 
-def _bond_leaf(prim: Prim):
-    return _BOND_LEAVES[prim.kind]
+def _bond_flags(mol: Molecule, prim: Prim):
+    """Per-bond truth values of one bond primitive."""
+    if prim.kind == "any":
+        return [True] * len(mol.bonds)
+    if prim.kind == "ring":
+        return mol.rings.bond_in_ring
+    order = _BOND_ORDERS[prim.kind]
+    return [b.order is order for b in mol.bonds]
 
 
 def _implies_aromatic(expr) -> bool:
@@ -170,40 +179,19 @@ class MatchSet:
     unique_atom_sets: tuple[frozenset[int], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmartsPattern:
-    """Compiled query graph over atom and bond predicate expressions."""
+    """Query graph over atom and bond predicate expressions."""
 
     text: str
     atom_exprs: tuple
     bond_list: tuple[tuple[int, int], ...]
     bond_exprs: tuple
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
-    _atom_preds: list = field(default=None, repr=False, compare=False)
-    _bond_preds: list = field(default=None, repr=False, compare=False)
 
     @property
     def n_atoms(self) -> int:
         return len(self.atom_exprs)
-
-    def atom_preds(self) -> list:
-        if self._atom_preds is None:
-            self._atom_preds = [_compile(e, _atom_leaf) for e in self.atom_exprs]
-        return self._atom_preds
-
-    def bond_preds(self) -> list:
-        if self._bond_preds is None:
-            self._bond_preds = [_compile(e, _bond_leaf) for e in self.bond_exprs]
-        return self._bond_preds
-
-    def __getstate__(self):
-        # Compiled closures are rebuilt lazily after unpickling.
-        return (self.text, self.atom_exprs, self.bond_list, self.bond_exprs, self.adjacency)
-
-    def __setstate__(self, state):
-        self.text, self.atom_exprs, self.bond_list, self.bond_exprs, self.adjacency = state
-        self._atom_preds = None
-        self._bond_preds = None
 
 
 class _ExprScanner:
@@ -285,7 +273,7 @@ class _BondExprScanner(_ExprScanner):
 
 
 class _AtomExprScanner(_ExprScanner):
-    """Parser for one bracket atom expression."""
+    """Parser for one atom expression: bracket contents or a bare symbol."""
 
     def unsupported(self, what: str):
         raise UnsupportedPrimitiveError(
@@ -426,24 +414,10 @@ def parse_smarts(text: str) -> SmartsPattern:
             raise UnsupportedPrimitiveError("'.' component grouping", i)
         elif c in "/\\":
             raise UnsupportedPrimitiveError("stereo bond", i)
-        elif stripped[i : i + 2] in ORGANIC_TWO:
-            add_atom(Prim("symbol_aliphatic", atomic_number(stripped[i : i + 2])))
-            i += 2
-        elif c in ORGANIC_ONE:
-            add_atom(Prim("symbol_aliphatic", atomic_number(c)))
-            i += 1
-        elif c in ORGANIC_AROMATIC:
-            add_atom(Prim("symbol_aromatic", LOWERCASE_AROMATIC[c]))
-            i += 1
-        elif c == "*":
-            add_atom(Prim("wildcard"))
-            i += 1
-        elif c == "a":
-            add_atom(Prim("aromatic"))
-            i += 1
-        elif c == "A":
-            add_atom(Prim("aliphatic"))
-            i += 1
+        elif c in _BARE_ATOM_STARTS:
+            width = 2 if stripped[i : i + 2] in ORGANIC_TWO else 1
+            add_atom(_AtomExprScanner(stripped[i : i + width], i).parse())
+            i += width
         elif c in _BOND_CHARS:
             if anchor is None:
                 raise SmartsSyntaxError("bond expression before any atom", i)
@@ -527,7 +501,7 @@ def parse_smarts(text: str) -> SmartsPattern:
     )
 
 
-def _assignment_order(pattern: SmartsPattern, candidates: list[list[int]]) -> list[int]:
+def _assignment_order(pattern: SmartsPattern, amasks: list[int]) -> list[int]:
     """Query atom processing order: most constrained first, then grow
     along pattern adjacency, preferring the fewest candidates."""
     qn = pattern.n_atoms
@@ -542,7 +516,7 @@ def _assignment_order(pattern: SmartsPattern, candidates: list[list[int]]) -> li
         ]
         if not frontier:  # disconnected pattern component
             frontier = [q for q in range(qn) if q not in placed]
-        pick = min(frontier, key=lambda q: (len(candidates[q]), q))
+        pick = min(frontier, key=lambda q: (amasks[q].bit_count(), q))
         order.append(pick)
         placed.add(pick)
     return order
@@ -552,16 +526,13 @@ def _search(
     pattern: SmartsPattern, view: MoleculeView, first_only: bool
 ) -> list[tuple[int, ...]]:
     qn = pattern.n_atoms
-    if view.n == 0:
+    if qn > view.n:
         return []
-    apreds = pattern.atom_preds()
-    bpreds = pattern.bond_preds()
-    candidates = [
-        [t for t in range(view.n) if apreds[q](view, t)] for q in range(qn)
-    ]
-    if any(not c for c in candidates):
+    amasks = [view.mask(e) for e in pattern.atom_exprs]
+    if not all(amasks):
         return []
-    order = _assignment_order(pattern, candidates)
+    bmasks = [view.mask(e, bond=True) for e in pattern.bond_exprs]
+    order = _assignment_order(pattern, amasks)
 
     # For each step, the already-placed pattern neighbors to check.
     placed_nbrs: list[list[tuple[int, int]]] = []
@@ -585,23 +556,23 @@ def _search(
     def backtrack(step: int) -> bool:
         """Returns True (stop now) only in first_only mode once a match lands."""
         q = order[step]
+        amask = amasks[q]
         checks = placed_nbrs[step]
         if checks:
             anchor_q, anchor_bidx = checks[0]
+            bmask = bmasks[anchor_bidx]
             pool = [
-                t
-                for t, tb in view.neighbors[assignment[anchor_q]]
-                if not used[t] and bpreds[anchor_bidx](view, tb)
+                t for t, tb in view.neighbors[assignment[anchor_q]] if bmask >> tb & 1
             ]
         else:
-            pool = [t for t in candidates[q] if not used[t]]
+            pool = range(view.n)
         for t in pool:
-            if not apreds[q](view, t):
+            if used[t] or not amask >> t & 1:
                 continue
             ok = True
-            for nbr_q, bidx in checks[1:] if checks else ():
+            for nbr_q, bidx in checks[1:]:
                 tb = bond_between(t, assignment[nbr_q])
-                if tb is None or not bpreds[bidx](view, tb):
+                if tb is None or not bmasks[bidx] >> tb & 1:
                     ok = False
                     break
             if not ok:

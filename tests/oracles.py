@@ -180,7 +180,7 @@ def random_permutation(n: int, rng: random.Random) -> list[int]:
 
 def eval_atom_expr(expr, mol: Molecule, i: int) -> bool:
     """Tree-walk evaluation of an atom expression straight off the
-    Molecule (independent of the compiled predicate closures)."""
+    Molecule (independent of the matcher's per-molecule bitmasks)."""
     if isinstance(expr, Prim):
         a = mol.atoms[i]
         kind, value = expr.kind, expr.value

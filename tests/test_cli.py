@@ -8,6 +8,7 @@ from molfp import (
     BatchOptions,
     FingerprintConfig,
     Fingerprinter,
+    FormatError,
     RingClosureOverflowError,
     bulk_top_k,
     deserialize,
@@ -62,6 +63,25 @@ class TestSmiGrammar:
             ("CCO", "ethanol"),
             ("c1ccccc1", "benzene"),
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "{smi}", "{out}", "--fingerprint", "ecfp"],
+            ["canonical", "{smi}", "{out}"],
+            ["search", "CCO", "{smi}", "--fingerprint", "ecfp"],
+            ["benchmark", "{smi}", "--fingerprint", "ecfp", "--repeats", "1"],
+        ],
+    )
+    def test_undecodable_line_cites_line(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.smi"
+        bad.write_bytes(b"CCO ok\n\xff\xfeCC bad\n")
+        with pytest.raises(FormatError) as exc:
+            read_smi(bad)
+        assert exc.value.line == 2
+        argv = [a.format(smi=bad, out=tmp_path / "out") for a in argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
 
 
 class TestCompute:
@@ -184,6 +204,10 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", str(smi_file), str(tmp_path / "o"), "--fingerprint", "bogus"])
         assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", str(smi_file), str(tmp_path / "o"), "--fingerprint", "ecfp",
+                  "--jobs", "0"])
+        assert exc.value.code == 2
 
     def test_substructure_and_descriptors(self, smi_file, tmp_path):
         for fam, cols in (("substructure", 48), ("descriptors", 10)):
@@ -197,6 +221,23 @@ class TestCompute:
         monkeypatch.setenv("MOLFP_JOBS", "2")
         out = tmp_path / "out.mat"
         assert main(["compute", str(smi_file), str(out), "--fingerprint", "ecfp"]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_invalid_env_jobs_is_usage_error(self, smi_file, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("MOLFP_JOBS", value)
+        out = tmp_path / "out.mat"
+        for argv in (
+            ["compute", str(smi_file), str(out), "--fingerprint", "ecfp"],
+            ["search", "CCO", str(smi_file), "--fingerprint", "ecfp"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "MOLFP_JOBS" in err[0]
+        # An explicit --jobs wins, and commands without a batch ignore it.
+        argv = ["compute", str(smi_file), str(out), "--fingerprint", "ecfp", "--jobs", "1"]
+        assert main(argv) == 0
+        assert main(["canonical", str(smi_file), str(tmp_path / "c.smi")]) == 0
+        assert main(["gen-corpus", str(tmp_path / "g.smi"), "--count", "3"]) == 0
 
 
 class TestCanonical:

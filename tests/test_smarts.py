@@ -19,10 +19,17 @@ from molfp import (
     parse_smarts,
     sanitize,
 )
-from molfp.smarts import And, Not, Or, Prim
+from molfp.corpus import synthetic_smiles
+from molfp.smarts import And, MoleculeView, Not, Or, Prim
 from molfp.smiles import parse_smiles
 
-from .oracles import brute_force_matches, permute_draft, random_permutation
+from .oracles import (
+    brute_force_matches,
+    eval_atom_expr,
+    eval_bond_expr,
+    permute_draft,
+    random_permutation,
+)
 
 ORACLE_PATTERNS = [
     "[OX2H]",
@@ -208,6 +215,46 @@ class TestOracleAgreement:
                 assert ours == theirs
 
 
+class TestMasks:
+    def test_masks_match_tree_walk(self):
+        pats = [k.pattern for k in load_key_set(default_key_set_path())]
+        pats += [parse_smarts(p) for p in ("[!#6]", "[!R]", "C!@C", "C!-C", "*~*", "c:a")]
+        atom_exprs = dict.fromkeys(e for p in pats for e in p.atom_exprs)
+        bond_exprs = dict.fromkeys(e for p in pats for e in p.bond_exprs)
+        # "C" has one atom and no bonds: negated bond prims run over nothing.
+        for smi in synthetic_smiles(150, seed=13) + ["C"]:
+            mol = from_smiles(smi)
+            view = MoleculeView(mol)
+            n_bonds = len(mol.bonds)
+            for e in atom_exprs:
+                m = view.mask(e)
+                assert m >> mol.n_atoms == 0, (smi, e)
+                for i in range(mol.n_atoms):
+                    assert bool(m >> i & 1) == eval_atom_expr(e, mol, i), (smi, e, i)
+            for e in bond_exprs:
+                m = view.mask(e, bond=True)
+                assert m >> n_bonds == 0, (smi, e)
+                for b in range(n_bonds):
+                    assert bool(m >> b & 1) == eval_bond_expr(e, mol, b), (smi, e, b)
+
+    def test_negated_bond_prim_without_bonds(self):
+        view = MoleculeView(from_smiles("C"))
+        assert view.mask(Not(Prim("ring")), bond=True) == 0
+        assert view.mask(Not(Prim("in_ring"))) == 1
+
+    def test_atom_and_bond_masks_cached_apart(self):
+        view = MoleculeView(from_smiles("c1ccc2ccccc2c1"))  # 10 atoms, 11 bonds
+        assert view.mask(Prim("aromatic")) == (1 << 10) - 1
+        assert view.mask(Prim("aromatic"), bond=True) == (1 << 11) - 1
+
+    def test_pattern_larger_than_molecule(self):
+        for text, smi in (("CCC", "CC"), ("*~*", "C")):
+            pat, mol = parse_smarts(text), from_smiles(smi)
+            assert not has_match(pat, mol)
+            assert match(pat, mol).mappings == ()
+            assert brute_force_matches(pat, mol) == set()
+
+
 class TestKeySet:
     def test_default_key_set_loads(self):
         keys = load_key_set(default_key_set_path())
@@ -246,6 +293,8 @@ class TestKeySet:
 def test_patterns_survive_pickling():
     import pickle
 
-    pat = parse_smarts("[OX2H]")
-    clone = pickle.loads(pickle.dumps(pat))
-    assert has_match(clone, from_smiles("CCO"))
+    for text in ("[OX2H]", "[CX3](=[OX1])[OX2H]", "c1ccccc1"):
+        pat = parse_smarts(text)
+        clone = pickle.loads(pickle.dumps(pat))
+        assert clone == pat
+    assert has_match(pickle.loads(pickle.dumps(parse_smarts("[OX2H]"))), from_smiles("CCO"))
