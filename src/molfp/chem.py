@@ -534,23 +534,32 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
     )
 
 
+def bfs_distances(mol: Molecule, start: int, limit: int | None = None) -> dict[int, int]:
+    """Bond-count distances from ``start`` to every atom it reaches,
+    searching no further than ``limit`` bonds when one is given."""
+    dist = {start: 0}
+    queue = [start]
+    depth = 0
+    while queue and (limit is None or depth < limit):
+        depth += 1
+        nxt = []
+        for cur in queue:
+            for nbr, _ in mol.neighbors[cur]:
+                if nbr not in dist:
+                    dist[nbr] = depth
+                    nxt.append(nbr)
+        queue = nxt
+    return dist
+
+
 def shortest_path_matrix(mol: Molecule) -> list[list[float]]:
     """All-pairs unweighted BFS distances; unreachable pairs are inf."""
-    n = mol.n_atoms
     out = []
-    for start in range(n):
-        dist = [INF] * n
-        dist[start] = 0.0
-        queue = [start]
-        while queue:
-            nxt = []
-            for cur in queue:
-                for nbr, _ in mol.neighbors[cur]:
-                    if dist[nbr] == INF:
-                        dist[nbr] = dist[cur] + 1
-                        nxt.append(nbr)
-            queue = nxt
-        out.append(dist)
+    for start in range(mol.n_atoms):
+        row = [INF] * mol.n_atoms
+        for j, d in bfs_distances(mol, start).items():
+            row[j] = float(d)
+        out.append(row)
     return out
 
 

@@ -18,6 +18,7 @@ from .chem import (
     BondOrder,
     Molecule,
     atomic_weight,
+    bfs_distances,
     initial_atom_invariant,
 )
 from .errors import ConfigError, FoldError
@@ -116,20 +117,17 @@ def _from_counts(counts: dict[int, int], length: int, variant: str) -> Fingerpri
     return FingerprintVector(length, "count", dict(counts))
 
 
-def _bounded_distances(mol: Molecule, start: int, limit: int) -> dict[int, int]:
-    dist = {start: 0}
-    queue = [start]
-    depth = 0
-    while queue and depth < limit:
-        depth += 1
-        nxt = []
-        for cur in queue:
-            for nbr, _ in mol.neighbors[cur]:
-                if nbr not in dist:
-                    dist[nbr] = depth
-                    nxt.append(nbr)
-        queue = nxt
-    return dist
+def _hashed(
+    tally: dict[tuple[int, ...], int], tag: int, cfg: FingerprintConfig
+) -> FingerprintVector:
+    """Fold a tally of feature tuples into a vector: each distinct tuple
+    is hashed once under ``tag``, and its count lands at that hash
+    modulo the length."""
+    counts: dict[int, int] = {}
+    for key, n in tally.items():
+        idx = stable_hash32(tag, *key) % cfg.length
+        counts[idx] = counts.get(idx, 0) + n
+    return _from_counts(counts, cfg.length, cfg.variant)
 
 
 def _circular(mol: Molecule, cfg: FingerprintConfig, seeds: list[int]) -> FingerprintVector:
@@ -219,8 +217,8 @@ def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
 
     Distances come from one breadth-first search per heavy atom that
     stops at the cap, so the cost is the atom count times the atoms
-    within the cap.  Pairs are tallied per distinct (type, distance,
-    type) and each of those is hashed once.
+    within the cap.  Each pair is counted from its lower atom index,
+    and each distinct (type, distance, type) is hashed once.
     """
     types = [_atom_type_code(mol, i) for i in range(mol.n_atoms)]
     heavy = [a.element != 1 for a in mol.atoms]
@@ -228,25 +226,24 @@ def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     for i, ti in enumerate(types):
         if not heavy[i]:
             continue
-        for j, d in _bounded_distances(mol, i, cfg.distance_cap).items():
+        for j, d in bfs_distances(mol, i, cfg.distance_cap).items():
             if j > i and heavy[j]:
                 tj = types[j]
                 key = (ti, d, tj) if ti <= tj else (tj, d, ti)
                 pairs[key] = pairs.get(key, 0) + 1
-    counts: dict[int, int] = {}
-    for key, pair_count in pairs.items():
-        idx = stable_hash32(TAG_ATOM_PAIR, *key) % cfg.length
-        counts[idx] = counts.get(idx, 0) + pair_count
-    return _from_counts(counts, cfg.length, cfg.variant)
+    return _hashed(pairs, TAG_ATOM_PAIR, cfg)
 
 
 def topological_torsion(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     """Hash typed linear paths of exactly four distinct atoms, oriented
     by the lexicographically smaller of the type sequence and its
-    reverse."""
-    n = mol.n_atoms
-    types = [_atom_type_code(mol, i) for i in range(n)]
-    counts: dict[int, int] = {}
+    reverse.
+
+    Each undirected 4-path is enumerated once, from its central bond,
+    and each distinct oriented type sequence is hashed once.
+    """
+    types = [_atom_type_code(mol, i) for i in range(mol.n_atoms)]
+    torsions: dict[tuple[int, ...], int] = {}
     for b in mol.bonds:
         # Each undirected 4-path arises exactly once: its central bond
         # in (min, max) orientation, ends drawn from either side.
@@ -259,60 +256,40 @@ def topological_torsion(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVec
                     continue
                 seq = (types[a], types[mid1], types[mid2], types[d])
                 canon = min(seq, seq[::-1])
-                idx = stable_hash32(TAG_TORSION, *canon) % cfg.length
-                counts[idx] = counts.get(idx, 0) + 1
-    return _from_counts(counts, cfg.length, cfg.variant)
+                torsions[canon] = torsions.get(canon, 0) + 1
+    return _hashed(torsions, TAG_TORSION, cfg)
 
 
 def path_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     """Hash simple bond paths of min_path..max_path bonds as alternating
-    (atom code, bond code) sequences, one feature per path."""
-    n = mol.n_atoms
+    (atom code, bond code) sequences, oriented by the smaller of the
+    sequence and its reverse, one feature per path.
+
+    One depth-first search per start atom extends each path by a bond
+    and an atom.  Each undirected path is kept from its smaller end
+    atom, and each distinct oriented sequence is hashed once.
+    """
     acode = [
         stable_hash32(TAG_PATH_ATOM, a.element, int(a.aromatic), a.degree)
         for a in mol.atoms
     ]
-    counts: dict[int, int] = {}
-
-    def record(path: list[int], bond_codes: list[int]) -> None:
-        if tuple(path) > tuple(reversed(path)):
-            return
-        seq: list[int] = [acode[path[0]]]
-        for t in range(len(bond_codes)):
-            seq.append(bond_codes[t])
-            seq.append(acode[path[t + 1]])
-        canon = min(tuple(seq), tuple(reversed(seq)))
-        idx = stable_hash32(TAG_PATH, *canon) % cfg.length
-        counts[idx] = counts.get(idx, 0) + 1
-
-    codes = [b.order.value for b in mol.bonds]
-    path: list[int] = []
-    bond_codes: list[int] = []
-    on_path = [False] * n
-
-    def extend(cur: int) -> None:
-        if len(bond_codes) >= cfg.min_path:
-            record(path, bond_codes)
-        if len(bond_codes) == cfg.max_path:
-            return
-        for nbr, bidx in mol.neighbors[cur]:
-            if on_path[nbr]:
-                continue
-            path.append(nbr)
-            bond_codes.append(codes[bidx])
-            on_path[nbr] = True
-            extend(nbr)
-            on_path[nbr] = False
-            path.pop()
-            bond_codes.pop()
-
-    for start in range(n):
-        path = [start]
-        bond_codes = []
-        on_path[start] = True
-        extend(start)
-        on_path[start] = False
-    return _from_counts(counts, cfg.length, cfg.variant)
+    bcode = [b.order.value for b in mol.bonds]
+    # Sequence lengths: a path of k bonds has 2k + 1 codes.
+    shortest, longest = 2 * cfg.min_path + 1, 2 * cfg.max_path + 1
+    paths: dict[tuple[int, ...], int] = {}
+    for start in range(mol.n_atoms):
+        # (end atom, bitmask of the atoms on the path, code sequence)
+        stack = [(start, 1 << start, (acode[start],))]
+        while stack:
+            end, on_path, seq = stack.pop()
+            if start < end and len(seq) >= shortest:
+                canon = min(seq, seq[::-1])
+                paths[canon] = paths.get(canon, 0) + 1
+            if len(seq) < longest:
+                for nbr, bidx in mol.neighbors[end]:
+                    if not on_path >> nbr & 1:
+                        stack.append((nbr, on_path | 1 << nbr, seq + (bcode[bidx], acode[nbr])))
+    return _hashed(paths, TAG_PATH, cfg)
 
 
 def substructure_fingerprint(

@@ -22,6 +22,9 @@ from .fingerprints import VARIANT_DTYPES
 _NUMPY_DTYPE = {"u8": np.uint8, "u32": np.uint32, "f64": np.float64}
 _ELEMENT_SIZE = {"u8": 1, "u32": 4, "f64": 8}
 _INDEX_BYTES = 4  # fixed CSR index width
+# Values joined per write: a CSR line holds every entry of the matrix,
+# and joining it whole would hold a string per entry at once.
+_WRITE_CHUNK = 4096
 
 
 @dataclass(eq=False)
@@ -185,12 +188,6 @@ def memory_footprint(m: Matrix) -> int:
     return m.nnz * esize + m.nnz * _INDEX_BYTES + (m.rows + 1) * _INDEX_BYTES
 
 
-def _format_value(value, dtype: str) -> str:
-    if dtype == "f64":
-        return repr(float(value))
-    return str(int(value))
-
-
 def _parse_value(text: str, dtype: str, lineno: int):
     try:
         if dtype == "f64":
@@ -207,14 +204,16 @@ def serialize(m: Matrix, sink: IO[str]) -> None:
     """Write the matrix in its text format; output ends with a newline."""
     if isinstance(m, DenseMatrix):
         sink.write(f"DENSEv1 {m.rows} {m.cols} {m.dtype}\n")
-        for r in range(m.rows):
-            sink.write(" ".join(map(repr, m.values[r].tolist())))
-            sink.write("\n")
+        lines = m.values
     else:
         sink.write(f"CSRv1 {m.rows} {m.cols} {m.nnz} {m.dtype}\n")
-        sink.write(" ".join(str(int(v)) for v in m.indptr) + "\n")
-        sink.write(" ".join(str(int(v)) for v in m.indices) + "\n")
-        sink.write(" ".join(_format_value(v, m.dtype) for v in m.data) + "\n")
+        lines = (m.indptr, m.indices, m.data)
+    for line in lines:
+        for start in range(0, len(line), _WRITE_CHUNK):
+            if start:
+                sink.write(" ")
+            sink.write(" ".join(map(repr, line[start : start + _WRITE_CHUNK].tolist())))
+        sink.write("\n")
 
 
 def deserialize(source: IO[str]) -> Matrix:
@@ -268,9 +267,11 @@ def deserialize(source: IO[str]) -> Matrix:
                     f"expected {expected} {what} entries, got {len(fields)}", lineno
                 )
             try:
-                return np.array([int(f) for f in fields], dtype=np.int64)
+                return np.array([int(f) for f in fields], dtype=np.int32)
             except ValueError:
                 raise FormatError(f"bad integer in {what}", lineno) from None
+            except OverflowError:
+                raise FormatError(f"{what} value outside int32", lineno) from None
 
         indptr = int_line(2, rows + 1, "indptr")
         indices = int_line(3, nnz, "indices")
@@ -285,8 +286,8 @@ def deserialize(source: IO[str]) -> Matrix:
                 rows=rows,
                 cols=cols,
                 dtype=dtype,
-                indptr=indptr.astype(np.int32),
-                indices=indices.astype(np.int32),
+                indptr=indptr,
+                indices=indices,
                 data=np.array(data, dtype=_NUMPY_DTYPE[dtype]),
             )
         except ShapeError as exc:

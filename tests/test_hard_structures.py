@@ -20,15 +20,17 @@ from molfp import (
     write_canonical_smiles,
 )
 from molfp.corpus import synthetic_smiles
-from molfp.fingerprints import atom_pair, ecfp, fcfp
+from molfp.fingerprints import FAMILY_ROWS, atom_pair, ecfp
 from molfp.smiles import parse_smiles
 
 from .oracles import (
     are_isomorphic,
     atom_pair_feature_count,
     ecfp_feature_count,
+    path_feature_count,
     permute_draft,
     random_permutation,
+    torsion_feature_count,
 )
 
 CAGES = [
@@ -141,9 +143,9 @@ LARGE = {
 def _count_total(mol, family: str, **kw) -> int:
     """Feature total of the count variant, after checking that the
     binary variant has the same support."""
-    fp = {"ecfp": ecfp, "fcfp": fcfp, "atom_pair": atom_pair}[family]
-    count = fp(mol, FingerprintConfig(family=family, variant="count", **kw))
-    binary = fp(mol, FingerprintConfig(family=family, variant="binary", **kw))
+    fp = FAMILY_ROWS[family]
+    count = fp(mol, FingerprintConfig(family=family, variant="count", **kw), None)
+    binary = fp(mol, FingerprintConfig(family=family, variant="binary", **kw), None)
     assert set(binary.entries) == set(count.entries)
     return sum(count.entries.values())
 
@@ -174,6 +176,19 @@ class TestLargeMoleculeOracles:
         for cap in (1, 5, 30):
             expected = atom_pair_feature_count(mol, cap)
             assert _count_total(mol, "atom_pair", distance_cap=cap) == expected, cap
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_path_totals(self, name):
+        mol = from_smiles(LARGE[name])
+        for lo, hi in ((1, 7), (2, 4), (1, 10)):
+            expected = path_feature_count(mol, lo, hi)
+            assert _count_total(mol, "path", min_path=lo, max_path=hi) == expected, (lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(LARGE))
+    def test_torsion_totals(self, name):
+        mol = from_smiles(LARGE[name])
+        expected = torsion_feature_count(mol)
+        assert _count_total(mol, "topological_torsion") == expected
 
 
 def test_long_chain_graph_layers_near_linear():

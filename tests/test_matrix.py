@@ -23,7 +23,7 @@ from molfp import (
     to_csr,
     to_dense,
 )
-from molfp.matrix import vstack
+from molfp.matrix import _WRITE_CHUNK, vstack
 
 MIB = 1024 * 1024
 
@@ -232,6 +232,48 @@ class TestSerialization:
     def test_value_out_of_range(self):
         with pytest.raises(FormatError):
             deserialize(io.StringIO("DENSEv1 1 1 u8\n300\n"))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("CSRv1 1 8 1 u8\n0 1\n4294967299\n1\n", 3),
+            ("CSRv1 1 8 1 u8\n0 4294967297\n3\n1\n", 2),
+            ("CSRv1 1 8 1 u8\n0 1\n99999999999999999999\n1\n", 3),
+            ("CSRv1 1 8 1 u8\n0 1\n-2147483649\n1\n", 3),
+            ("CSRv1 1 8 1 u8\n0 2147483648\n3\n1\n", 2),
+        ],
+    )
+    def test_csr_integer_outside_int32(self, text, line):
+        # Such values once wrapped silently into int32 (4294967299 read
+        # as column 3) or escaped as a bare OverflowError.
+        with pytest.raises(FormatError) as exc:
+            deserialize(io.StringIO(text))
+        assert exc.value.line == line
+        assert "outside int32" in exc.value.message
+
+    @pytest.mark.parametrize("index", ["-1", "8", "2147483647", "-2147483648"])
+    def test_csr_index_in_int32_out_of_range(self, index):
+        with pytest.raises(FormatError) as exc:
+            deserialize(io.StringIO(f"CSRv1 1 8 1 u8\n0 1\n{index}\n1\n"))
+        assert exc.value.line == 2
+        assert exc.value.message == (
+            "inconsistent CSR structure: column index out of range"
+        )
+
+    def test_csr_value_text(self):
+        c = CsrMatrix(1, 4, "f64", [0, 3], [0, 1, 3], [1e300, -1e-300, 0.1])
+        assert roundtrip(c) == "CSRv1 1 4 3 f64\n0 3\n0 1 3\n1e+300 -1e-300 0.1\n"
+        c = CsrMatrix(1, 4, "u32", [0, 2], [1, 2], [4294967295, 7])
+        assert roundtrip(c) == "CSRv1 1 4 2 u32\n0 2\n1 2\n4294967295 7\n"
+
+    def test_csr_lines_longer_than_a_write(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(0, 4, size=(3, 6000)) * rng.integers(1, 2**32, size=(3, 6000))
+        c = to_csr(DenseMatrix(values, "u32"))
+        assert c.nnz > 3 * _WRITE_CHUNK
+        lines = roundtrip(c).splitlines()[1:]
+        assert lines == [" ".join(map(str, a.tolist())) for a in (c.indptr, c.indices, c.data)]
+        assert roundtrip(deserialize(io.StringIO(roundtrip(c)))) == roundtrip(c)
 
     def test_empty_csr(self):
         c = from_rows([], "sparse", cols=16)
