@@ -5,7 +5,8 @@ Covers the seven families x binary/count x dense/sparse and three unions
 (two of them with descriptors), each at jobs 1 and 2, over
 ``synthetic_smiles(2000, seed=13)``; then skip-mode runs at jobs 2 with
 chunk_size 7, where failing records fill one chunk entirely, and an
-empty input.
+empty input; last, one line over every ``match()`` result of the default
+SMARTS keys on the same corpus, mappings in discovery order.
 
 Usage (one source tree against another):
     PYTHONPATH=old/src python scripts/output_digest.py > old.txt
@@ -18,8 +19,17 @@ from __future__ import annotations
 import hashlib
 import io
 
-from molfp import BatchOptions, FingerprintConfig, Fingerprinter, serialize, transform_batch, union
+from molfp import (
+    BatchOptions,
+    FingerprintConfig,
+    Fingerprinter,
+    from_smiles,
+    serialize,
+    transform_batch,
+    union,
+)
 from molfp.corpus import synthetic_smiles
+from molfp.smarts import MoleculeView, default_key_set_path, load_key_set, match
 
 FAMILIES = (
     "ecfp",
@@ -63,6 +73,18 @@ def digest(matrix) -> str:
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def match_digest(smiles: list[str], keys) -> str:
+    """Over each key's mappings in order and unique atom sets in order."""
+    h = hashlib.sha256()
+    for smi in smiles:
+        mol = from_smiles(smi)
+        view = MoleculeView(mol)
+        for key in keys:
+            found = match(key.pattern, mol, view)
+            h.update(repr((found.mappings, [sorted(s) for s in found.unique_atom_sets])).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     smiles = synthetic_smiles(2000, seed=13)
     for label, t in transformers():
@@ -80,6 +102,9 @@ def main() -> int:
             print(f"{digest(matrix)}  {label} skip n_ok={report.n_ok} {output}", flush=True)
             matrix, _ = transform_batch([], t, skip, output=output)
             print(f"{digest(matrix)}  {label} empty {output}", flush=True)
+
+    keys = load_key_set(default_key_set_path())
+    print(f"{match_digest(smiles, keys)}  match() of {len(keys)} default keys", flush=True)
     return 0
 
 

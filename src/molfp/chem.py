@@ -485,29 +485,18 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
                 n_arom += 1
             else:
                 other_sum += order.value
-        if a.explicit_h is not None:
-            # Bracket atom: take the written hydrogen count, but the total
-            # must still fit a permitted valence.
+        # A bracket atom keeps its written hydrogen count, but the total
+        # must still fit a permitted valence.
+        h = a.explicit_h or 0
+        implicit = default_implicit_h(a.element, a.formal_charge, n_arom, other_sum + h)
+        if implicit is None:
             vals = permitted_valences(a.element, a.formal_charge)
-            if vals is not None:
-                primary = other_sum + (3 * n_arom) // 2 + a.explicit_h
-                fallback = other_sum + n_arom + a.explicit_h
-                if not any(v >= primary for v in vals) and not (
-                    n_arom and any(v >= fallback for v in vals)
-                ):
-                    raise ValenceError(
-                        f"atom {idx} ({symbol_of(a.element)}): bond order sum "
-                        f"{primary} exceeds permitted valences {vals}"
-                    )
+            raise ValenceError(
+                f"atom {idx} ({symbol_of(a.element)}): bond order sum "
+                f"{other_sum + h + (3 * n_arom) // 2} exceeds permitted valences {vals}"
+            )
+        if a.explicit_h is not None:
             implicit = a.explicit_h
-        else:
-            implicit = default_implicit_h(a.element, a.formal_charge, n_arom, other_sum)
-            if implicit is None:
-                vals = permitted_valences(a.element, a.formal_charge)
-                raise ValenceError(
-                    f"atom {idx} ({symbol_of(a.element)}): bond order sum "
-                    f"{other_sum + (3 * n_arom) // 2} exceeds permitted valences {vals}"
-                )
         degree = sum(1 for nbr, _ in adj[idx] if draft.atoms[nbr].element != 1)
         atoms.append(
             Atom(

@@ -188,16 +188,44 @@ def memory_footprint(m: Matrix) -> int:
     return m.nnz * esize + m.nnz * _INDEX_BYTES + (m.rows + 1) * _INDEX_BYTES
 
 
-def _parse_value(text: str, dtype: str, lineno: int):
+# Per field type: parser, array dtype and inclusive bounds ("i32": CSR indptr and indices).
+_FIELD_TYPES = {
+    "i32": (int, np.int64, -(2**31), 2**31 - 1),
+    "u8": (int, np.int64, 0, 255),
+    "u32": (int, np.int64, 0, 2**32 - 1),
+    "f64": (float, np.float64, None, None),
+}
+
+
+def _parse_line(
+    lines: list[str], lineno: int, count: int, name: str | None, kind: str
+) -> np.ndarray:
+    """The ``count`` values of 1-based line ``lineno`` as one int64 or
+    float64 array.  ``name`` is the CSR line (indptr, indices, data), or
+    None for a dense row.  Fields are read by ``int()`` or ``float()``,
+    so ``+1`` and ``1_0`` are accepted; FormatError names the line."""
+    fields = lines[lineno - 1].split()
+    if len(fields) != count:
+        noun = f"{name} entries" if name else "values"
+        raise FormatError(f"expected {count} {noun}, got {len(fields)}", lineno)
+    parse, array_type, lo, hi = _FIELD_TYPES[kind]
     try:
-        if dtype == "f64":
-            return float(text)
-        value = int(text)
-    except ValueError:
-        raise FormatError(f"bad {dtype} value {text!r}", lineno) from None
-    if value < 0 or (dtype == "u8" and value > 255) or (dtype == "u32" and value > 2**32 - 1):
-        raise FormatError(f"{dtype} value out of range: {value}", lineno)
-    return value
+        values = np.fromiter(map(parse, fields), array_type, count)
+        if lo is None or not count or (lo <= values.min() and values.max() <= hi):
+            return values
+    except (ValueError, OverflowError):
+        pass
+    # A matrix value's message names its first bad field; an index
+    # line is "bad integer" if any field is, else "outside int32".
+    for f in fields:
+        try:
+            value = parse(f)
+        except ValueError:
+            msg = f"bad integer in {name}" if kind == "i32" else f"bad {kind} value {f!r}"
+            raise FormatError(msg, lineno) from None
+        if kind in ("u8", "u32") and not lo <= value <= hi:
+            raise FormatError(f"{kind} value out of range: {value}", lineno)
+    raise FormatError(f"{name} value outside int32", lineno)
 
 
 def serialize(m: Matrix, sink: IO[str]) -> None:
@@ -241,11 +269,7 @@ def deserialize(source: IO[str]) -> Matrix:
             raise FormatError("trailing content after matrix rows", rows + 2)
         values = np.zeros((rows, cols), dtype=_NUMPY_DTYPE[dtype])
         for r in range(rows):
-            fields = lines[r + 1].split()
-            if len(fields) != cols:
-                raise FormatError(f"expected {cols} values, got {len(fields)}", r + 2)
-            for c, f in enumerate(fields):
-                values[r, c] = _parse_value(f, dtype, r + 2)
+            values[r] = _parse_line(lines, r + 2, cols, None, dtype)
         return DenseMatrix(values, dtype)
     if kind == "CSRv1":
         if len(header) != 5:
@@ -260,25 +284,9 @@ def deserialize(source: IO[str]) -> Matrix:
         if len(lines) < 4:
             raise FormatError("truncated CSRv1 file", len(lines))
 
-        def int_line(lineno: int, expected: int, what: str) -> np.ndarray:
-            fields = lines[lineno - 1].split()
-            if len(fields) != expected:
-                raise FormatError(
-                    f"expected {expected} {what} entries, got {len(fields)}", lineno
-                )
-            try:
-                return np.array([int(f) for f in fields], dtype=np.int32)
-            except ValueError:
-                raise FormatError(f"bad integer in {what}", lineno) from None
-            except OverflowError:
-                raise FormatError(f"{what} value outside int32", lineno) from None
-
-        indptr = int_line(2, rows + 1, "indptr")
-        indices = int_line(3, nnz, "indices")
-        data_fields = lines[3].split()
-        if len(data_fields) != nnz:
-            raise FormatError(f"expected {nnz} data entries, got {len(data_fields)}", 4)
-        data = [_parse_value(f, dtype, 4) for f in data_fields]
+        indptr = _parse_line(lines, 2, rows + 1, "indptr", "i32")
+        indices = _parse_line(lines, 3, nnz, "indices", "i32")
+        data = _parse_line(lines, 4, nnz, "data", dtype)
         if any(line.strip() for line in lines[4:]):
             raise FormatError("trailing content after CSR data", 5)
         try:
@@ -288,7 +296,7 @@ def deserialize(source: IO[str]) -> Matrix:
                 dtype=dtype,
                 indptr=indptr,
                 indices=indices,
-                data=np.array(data, dtype=_NUMPY_DTYPE[dtype]),
+                data=data,
             )
         except ShapeError as exc:
             raise FormatError(f"inconsistent CSR structure: {exc}", 2) from None

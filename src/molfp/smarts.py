@@ -7,12 +7,12 @@ D<n>, H<n>, X<n>, R/R<n>, r/r<n>, +/- charges.  Bond primitives:
 component grouping are rejected as unsupported.
 
 Matching enumerates injective homomorphisms (pattern bonds must exist
-and match in the target; extra target bonds are allowed) by
-backtracking, assigning the most constrained query atoms first.  Each
-atom and bond expression is evaluated once per molecule as an integer
-bitmask over atoms or bonds (see MoleculeView); a pattern with more
+and match in the target; extra target bonds are allowed) by an
+iterative depth-first search over candidate bitmasks, placing the most
+constrained query atoms first.  Atom and bond expressions are integer
+bitmasks over atoms or bonds (see MoleculeView); a pattern with more
 atoms than the molecule, or with an atom no target atom satisfies, is
-screened out before backtracking starts.
+screened out before the search starts.
 """
 
 from __future__ import annotations
@@ -63,41 +63,42 @@ class MoleculeView:
     """One molecule's SMARTS expressions evaluated as integer bitmasks.
 
     Bit ``i`` of an atom mask is atom ``i``; bit ``b`` of a bond mask is
-    bond ``b``.  Masks are cached per ``(bond, expr)``, so sub-expressions
-    shared between patterns are evaluated once per molecule; callers
-    matching many patterns against one molecule should reuse one view.
+    bond ``b``.  Masks of primitives are cached per ``(bond, kind,
+    value)``, so a primitive shared between patterns is evaluated once
+    per molecule; ``!``, ``&`` and ``,`` are recomputed on each call from
+    their children's masks with ``~``, ``&`` and ``|``.  Callers matching
+    many patterns against one molecule should reuse one view.
     """
 
     def __init__(self, mol: Molecule):
         self.mol = mol
         self.n = mol.n_atoms
         self.neighbors = mol.neighbors
-        self.masks: dict[tuple[bool, object], int] = {}
+        self.masks: dict[tuple[bool, str, int], int] = {}
 
     def mask(self, expr, bond: bool = False) -> int:
         """Atoms (or, with ``bond``, bonds) that satisfy ``expr``."""
-        key = (bond, expr)
-        m = self.masks.get(key)
-        if m is not None:
-            return m
         if isinstance(expr, Prim):
-            flags = _bond_flags(self.mol, expr) if bond else _atom_flags(self.mol, expr)
-            m = sum(1 << i for i, flag in enumerate(flags) if flag)
-        elif isinstance(expr, Not):
+            key = (bond, expr.kind, expr.value)
+            m = self.masks.get(key)
+            if m is None:
+                flags = _bond_flags(self.mol, expr) if bond else _atom_flags(self.mol, expr)
+                m = self.masks[key] = sum(1 << i for i, flag in enumerate(flags) if flag)
+            return m
+        if isinstance(expr, Not):
             full = (1 << (len(self.mol.bonds) if bond else self.n)) - 1
-            m = full & ~self.mask(expr.arg, bond)
-        elif isinstance(expr, And):
+            return full & ~self.mask(expr.arg, bond)
+        if isinstance(expr, And):
             m = -1
             for arg in expr.args:
                 m &= self.mask(arg, bond)
-        elif isinstance(expr, Or):
+            return m
+        if isinstance(expr, Or):
             m = 0
             for arg in expr.args:
                 m |= self.mask(arg, bond)
-        else:
-            raise AssertionError(f"bad expression {expr!r}")
-        self.masks[key] = m
-        return m
+            return m
+        raise AssertionError(f"bad expression {expr!r}")
 
 
 def _atom_flags(mol: Molecule, prim: Prim):
@@ -504,27 +505,38 @@ def parse_smarts(text: str) -> SmartsPattern:
 def _assignment_order(pattern: SmartsPattern, amasks: list[int]) -> list[int]:
     """Query atom processing order: most constrained first, then grow
     along pattern adjacency, preferring the fewest candidates."""
-    qn = pattern.n_atoms
-    placed: set[int] = set()
+    counts = [m.bit_count() for m in amasks]
+    unplaced = set(range(pattern.n_atoms))
+    frontier: set[int] = set()  # unplaced atoms bonded to a placed one
     order: list[int] = []
-    while len(order) < qn:
-        frontier = [
-            q
-            for q in range(qn)
-            if q not in placed
-            and (not placed or any(nbr in placed for nbr, _ in pattern.adjacency[q]))
-        ]
-        if not frontier:  # disconnected pattern component
-            frontier = [q for q in range(qn) if q not in placed]
-        pick = min(frontier, key=lambda q: (amasks[q].bit_count(), q))
+    while unplaced:
+        # An empty frontier starts the next pattern component.
+        pick = min(frontier or unplaced, key=lambda q: (counts[q], q))
         order.append(pick)
-        placed.add(pick)
+        unplaced.discard(pick)
+        frontier.discard(pick)
+        frontier.update(nbr for nbr, _ in pattern.adjacency[pick] if nbr in unplaced)
     return order
 
 
 def _search(
     pattern: SmartsPattern, view: MoleculeView, first_only: bool
 ) -> list[tuple[int, ...]]:
+    """Mappings of the pattern onto the view's molecule, as tuples
+    indexed by query atom; with ``first_only``, at most one.
+
+    Depth-first search over candidate bitmasks (Ullmann, J. ACM 23:31,
+    1976; VF2, Cordella et al., IEEE TPAMI 26:1367, 2004) on an explicit
+    stack: ``stack[step]`` holds the target atoms still to try for query
+    atom ``order[step]``.  A step's candidates are its atom mask minus
+    the atoms in use, ANDed, for each pattern bond back to a placed
+    atom, with that atom's neighbours reached through a bond the bond
+    mask allows.  Each step takes its lowest set bit first, so targets
+    are tried in ascending index order, the order of a recursive search
+    that tries the neighbour list (sorted by index) of one placed
+    neighbour, or every atom when there is none: mappings come out in
+    that search's order.
+    """
     qn = pattern.n_atoms
     if qn > view.n:
         return []
@@ -533,65 +545,44 @@ def _search(
         return []
     bmasks = [view.mask(e, bond=True) for e in pattern.bond_exprs]
     order = _assignment_order(pattern, amasks)
-
-    # For each step, the already-placed pattern neighbors to check.
-    placed_nbrs: list[list[tuple[int, int]]] = []
+    # Per step: the atom mask and (placed query atom, bond mask) per pattern bond back.
+    steps: list[tuple[int, list[tuple[int, int]]]] = []
     placed: set[int] = set()
     for q in order:
-        placed_nbrs.append(
-            [(nbr, bidx) for nbr, bidx in pattern.adjacency[q] if nbr in placed]
-        )
+        links = [(nbr, bmasks[b]) for nbr, b in pattern.adjacency[q] if nbr in placed]
+        steps.append((amasks[q], links))
         placed.add(q)
-
+    neighbors = view.neighbors
     assignment = [-1] * qn
-    used = [False] * view.n
     results: list[tuple[int, ...]] = []
-
-    def bond_between(t1: int, t2: int) -> int | None:
-        for nbr, bidx in view.neighbors[t1]:
-            if nbr == t2:
-                return bidx
-        return None
-
-    def backtrack(step: int) -> bool:
-        """Returns True (stop now) only in first_only mode once a match lands."""
-        q = order[step]
-        amask = amasks[q]
-        checks = placed_nbrs[step]
-        if checks:
-            anchor_q, anchor_bidx = checks[0]
-            bmask = bmasks[anchor_bidx]
-            pool = [
-                t for t, tb in view.neighbors[assignment[anchor_q]] if bmask >> tb & 1
-            ]
-        else:
-            pool = range(view.n)
-        for t in pool:
-            if used[t] or not amask >> t & 1:
-                continue
-            ok = True
-            for nbr_q, bidx in checks[1:]:
-                tb = bond_between(t, assignment[nbr_q])
-                if tb is None or not bmasks[bidx] >> tb & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[q] = t
-            used[t] = True
-            done = False
-            if step + 1 == qn:
-                results.append(tuple(assignment))
-                done = first_only
-            else:
-                done = backtrack(step + 1)
-            used[t] = False
-            assignment[q] = -1
-            if done:
-                return True
-        return False
-
-    backtrack(0)
+    used = 0
+    stack = [amasks[order[0]]]
+    while stack:
+        step = len(stack) - 1
+        cands = stack[step]
+        if not cands:
+            stack.pop()
+            if step:
+                used ^= 1 << assignment[order[step - 1]]
+            continue
+        bit = cands & -cands
+        stack[step] = cands ^ bit
+        assignment[order[step]] = bit.bit_length() - 1
+        if step + 1 == qn:
+            results.append(tuple(assignment))
+            if first_only:
+                break
+            continue
+        used |= bit
+        cands, links = steps[step + 1]
+        cands &= ~used
+        for nbr_q, bmask in links:
+            reach = 0
+            for t, tb in neighbors[assignment[nbr_q]]:
+                if bmask >> tb & 1:
+                    reach |= 1 << t
+            cands &= reach
+        stack.append(cands)
     return results
 
 

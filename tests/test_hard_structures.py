@@ -21,6 +21,7 @@ from molfp import (
 )
 from molfp.corpus import synthetic_smiles
 from molfp.fingerprints import FAMILY_ROWS, atom_pair, ecfp
+from molfp.smarts import has_match, parse_smarts
 from molfp.smiles import parse_smiles
 
 from .oracles import (
@@ -201,6 +202,18 @@ def test_long_chain_graph_layers_near_linear():
     elapsed = time.perf_counter() - start
     assert sum(pairs.entries.values()) == sum(3000 - d for d in range(1, 31))
     assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+
+def test_deep_pattern_matches_without_recursion():
+    # A 2,000-atom query is deeper than the default recursion limit: the
+    # matcher must not recurse once per query atom.  has_match only, as
+    # count_unique enumerates every mapping of a chain onto a chain.
+    pattern = parse_smarts("C" * 2000)
+    mol = from_smiles("C" * 2000)
+    start = time.perf_counter()
+    assert has_match(pattern, mol)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 @settings(max_examples=60, deadline=None)

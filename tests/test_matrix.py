@@ -260,6 +260,47 @@ class TestSerialization:
             "inconsistent CSR structure: column index out of range"
         )
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("DENSEv1 2 2 u8\n1 2\n3 x\n", 3, "bad u8 value 'x'"),
+            ("DENSEv1 1 2 u8\n300 x\n", 2, "u8 value out of range: 300"),
+            ("DENSEv1 1 2 u8\nx 300\n", 2, "bad u8 value 'x'"),
+            ("DENSEv1 1 2 u8\n1 -1\n", 2, "u8 value out of range: -1"),
+            ("DENSEv1 1 2 u32\n0 4294967296\n", 2, "u32 value out of range: 4294967296"),
+            ("DENSEv1 1 2 f64\n1.5 x\n", 2, "bad f64 value 'x'"),
+            ("DENSEv1 2 2 f64\n1 2\n3\n", 3, "expected 2 values, got 1"),
+            ("CSRv1 1 8 2 u8\n0 x\n1 3\n5 7\n", 2, "bad integer in indptr"),
+            ("CSRv1 1 8 2 u8\n0 2\n1 x\n5 7\n", 3, "bad integer in indices"),
+            # A bad field outranks an earlier value outside int32.
+            ("CSRv1 1 8 2 u8\n0 2\n99999999999999999999 x\n5 7\n", 3, "bad integer in indices"),
+            ("CSRv1 1 8 2 u8\n0 -2147483649\n1 3\n5 7\n", 2, "indptr value outside int32"),
+            ("CSRv1 1 8 2 u8\n0 2 2\n1 3\n5 7\n", 2, "expected 2 indptr entries, got 3"),
+            ("CSRv1 1 8 2 u8\n0 2\n1\n5 7\n", 3, "expected 2 indices entries, got 1"),
+            ("CSRv1 1 8 2 u8\n0 2\n1 3\n5\n", 4, "expected 2 data entries, got 1"),
+            ("CSRv1 1 8 2 u8\n0 2\n1 3\n5 x\n", 4, "bad u8 value 'x'"),
+            ("CSRv1 1 8 2 u8\n0 2\n1 3\n256 x\n", 4, "u8 value out of range: 256"),
+            (
+                "CSRv1 1 8 2 u32\n0 2\n1 3\n99999999999999999999 1\n",
+                4,
+                "u32 value out of range: 99999999999999999999",
+            ),
+            ("CSRv1 1 8 2 f64\n0 2\n1 3\n1e3 y\n", 4, "bad f64 value 'y'"),
+        ],
+    )
+    def test_rejected_value_names_line(self, text, line, message):
+        with pytest.raises(FormatError) as exc:
+            deserialize(io.StringIO(text))
+        assert (exc.value.line, exc.value.message) == (line, message)
+
+    def test_values_read_as_python_literals(self):
+        dense = deserialize(io.StringIO("DENSEv1 1 3 f64\nnan -inf 1_0.5\n"))
+        assert np.isnan(dense.values[0, 0]) and dense.values[0, 1] == -np.inf
+        assert dense.values[0, 2] == 10.5
+        c = deserialize(io.StringIO("CSRv1 1 16 2 u32\n+0 2\n1_0 1_2\n+5 4_294_967_295\n"))
+        assert (c.indptr.tolist(), c.indices.tolist()) == ([0, 2], [10, 12])
+        assert c.data.tolist() == [5, 2**32 - 1]
+
     def test_csr_value_text(self):
         c = CsrMatrix(1, 4, "f64", [0, 3], [0, 1, 3], [1e300, -1e-300, 0.1])
         assert roundtrip(c) == "CSRv1 1 4 3 f64\n0 3\n0 1 3\n1e+300 -1e-300 0.1\n"
