@@ -5,8 +5,11 @@ Covers the seven families x binary/count x dense/sparse and three unions
 (two of them with descriptors), each at jobs 1 and 2, over
 ``synthetic_smiles(2000, seed=13)``; then skip-mode runs at jobs 2 with
 chunk_size 7, where failing records fill one chunk entirely, and an
-empty input; last, one line over every ``match()`` result of the default
-SMARTS keys on the same corpus, mappings in discovery order.
+empty input; then one line over every ``match()`` result of the default
+SMARTS keys on the same corpus, mappings in discovery order; last, one
+line over every ``from_smiles`` outcome (the molecule's repr, or the
+error's type, message and position) on the corpus, the 47 large molecules
+of ``bench/molecules.py`` and a seeded set of mutated corpus SMILES.
 
 Usage (one source tree against another):
     PYTHONPATH=old/src python scripts/output_digest.py > old.txt
@@ -18,6 +21,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import random
+import sys
+from pathlib import Path
 
 from molfp import (
     BatchOptions,
@@ -29,7 +35,11 @@ from molfp import (
     union,
 )
 from molfp.corpus import synthetic_smiles
+from molfp.errors import MolfpError
 from molfp.smarts import MoleculeView, default_key_set_path, load_key_set, match
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from molecules import FULL_LADDER, large_set, to_smiles  # noqa: E402
 
 FAMILIES = (
     "ecfp",
@@ -85,6 +95,39 @@ def match_digest(smiles: list[str], keys) -> str:
     return h.hexdigest()
 
 
+def mutated(smiles: list[str], count: int, seed: int = 13) -> list[str]:
+    """Corpus SMILES with one to three characters inserted, deleted or
+    replaced, some with surrounding whitespace."""
+    rng = random.Random(seed)
+    alphabet = "CNOSPFIBrcl()[]=#-:/\\.0123456789%+@H*$? "
+    out = []
+    for _ in range(count):
+        chars = list(rng.choice(smiles))
+        for _ in range(rng.randint(1, 3)):
+            p = rng.randrange(len(chars) + 1)
+            op = rng.random()
+            if op < 0.4 or not chars:
+                chars.insert(p, rng.choice(alphabet))
+            elif op < 0.7:
+                del chars[min(p, len(chars) - 1)]
+            else:
+                chars[min(p, len(chars) - 1)] = rng.choice(alphabet)
+        text = "".join(chars)
+        out.append(" " + text if rng.random() < 0.1 else text)
+    return out
+
+
+def parse_digest(smiles: list[str]) -> str:
+    h = hashlib.sha256()
+    for smi in smiles:
+        try:
+            outcome = repr(from_smiles(smi))
+        except MolfpError as exc:
+            outcome = f"{type(exc).__name__} {exc} {getattr(exc, 'position', None)}"
+        h.update(outcome.encode() + b"\n")
+    return h.hexdigest()
+
+
 def main() -> int:
     smiles = synthetic_smiles(2000, seed=13)
     for label, t in transformers():
@@ -105,6 +148,10 @@ def main() -> int:
 
     keys = load_key_set(default_key_set_path())
     print(f"{match_digest(smiles, keys)}  match() of {len(keys)} default keys", flush=True)
+
+    texts = list(smiles) + [to_smiles(g) for g in large_set(13, FULL_LADDER)]
+    texts += mutated(smiles, 20000)
+    print(f"{parse_digest(texts)}  from_smiles() of {len(texts)} texts", flush=True)
     return 0
 
 

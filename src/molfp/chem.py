@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .errors import AromaticityError, ValenceError
 from .hashing import TAG_ATOM_INVARIANT, stable_hash32
@@ -105,6 +106,10 @@ class BondOrder(Enum):
     TRIPLE = 3
     AROMATIC = 4
 
+    # Members are singletons that compare by identity; hash them the same
+    # way rather than through Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
+
     @property
     def valence(self) -> float:
         """Contribution to an atom's bond-order sum (aromatic counts 1.5)."""
@@ -119,6 +124,11 @@ class Bond:
 
     def other(self, atom: int) -> int:
         return self.j if atom == self.i else self.i
+
+
+# Frozen values built over and over are shared, one instance per
+# distinct argument tuple (argument types included).
+_shared_bond = lru_cache(maxsize=4096, typed=True)(Bond)
 
 
 @dataclass
@@ -163,11 +173,11 @@ class MoleculeDraft:
             raise ValueError(f"bond endpoint out of range: ({i}, {j})")
         if i == j:
             raise ValueError(f"self-loop bond on atom {i}")
-        pair = (min(i, j), max(i, j))
+        pair = (i, j) if i < j else (j, i)
         if pair in self._pairs:
             raise ValueError(f"duplicate bond between atoms {i} and {j}")
         self._pairs.add(pair)
-        self.bonds.append(Bond(i, j, order))
+        self.bonds.append(_shared_bond(i, j, order))
 
 
 @dataclass(frozen=True)
@@ -180,6 +190,9 @@ class Atom:
     implicit_h: int
     aromatic: bool
     degree: int
+
+
+_shared_atom = lru_cache(maxsize=4096, typed=True)(Atom)
 
 
 @dataclass(frozen=True)
@@ -216,29 +229,32 @@ class Molecule:
 
 
 def _adjacency(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> list[list[tuple[int, int]]]:
+    """Per atom, its (neighbour, bond index) pairs in ascending order."""
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
     for bidx, b in enumerate(bonds):
         adj[b.i].append((b.j, bidx))
         adj[b.j].append((b.i, bidx))
+    for nbrs in adj:
+        nbrs.sort()
     return adj
 
 
 def _normalize_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical rotation/direction: start at the smallest atom, pick the
     lexicographically smaller of the two traversal directions."""
-    k = len(cycle)
     start = cycle.index(min(cycle))
-    forward = tuple(cycle[(start + t) % k] for t in range(k))
-    backward = tuple(cycle[(start - t) % k] for t in range(k))
-    return min(forward, backward)
+    forward = cycle[start:] + cycle[:start]
+    return min(forward, forward[:1] + forward[:0:-1])
 
 
-def _cycle_edge_mask(cycle: tuple[int, ...], bond_index: dict[tuple[int, int], int]) -> int:
+def _ring_key(cycle: tuple[int, ...]) -> tuple:
+    return (len(cycle), tuple(sorted(cycle)), cycle)
+
+
+def _cycle_edge_mask(cycle: tuple[int, ...], bond_of: dict[tuple[int, int], int]) -> int:
     mask = 0
-    k = len(cycle)
-    for t in range(k):
-        a, b = cycle[t], cycle[(t + 1) % k]
-        mask |= 1 << bond_index[(min(a, b), max(a, b))]
+    for prev, a in zip(cycle[-1:] + cycle[:-1], cycle):
+        mask |= 1 << bond_of[prev, a]
     return mask
 
 
@@ -257,26 +273,20 @@ def _gf2_add(mask: int, basis: dict[int, int]) -> bool:
 
 
 def _shortest_cycles_through(
-    u: int, v: int, skip_bond: int, adj: list[list[tuple[int, int]]]
+    u: int, v: int, skip_bond: int, adj: dict[int, list[tuple[int, int]]]
 ) -> list[tuple[int, ...]]:
     """All shortest cycles through bond (u, v), found by BFS from u with the
     bond removed, then enumerating every shortest u-v path."""
-    n = len(adj)
-    dist = [INF] * n
-    dist[u] = 0
+    dist = {u: 0}
     queue = [u]
-    while queue:
+    while queue and v not in dist:
         nxt: list[int] = []
         for cur in queue:
             for nbr, bidx in adj[cur]:
-                if bidx == skip_bond:
-                    continue
-                if dist[nbr] == INF:
+                if bidx != skip_bond and nbr not in dist:
                     dist[nbr] = dist[cur] + 1
                     nxt.append(nbr)
         queue = nxt
-    if dist[v] == INF:
-        return []
     # Depth-first walk from v down the distance layers to u, with an
     # explicit stack so that long rings cannot exhaust the recursion
     # limit; path[k] holds the atom at distance dist[v] - k.
@@ -291,113 +301,150 @@ def _shortest_cycles_through(
             paths.append(tuple(reversed(path)))
             continue
         for nbr, bidx in reversed(adj[cur]):
-            if bidx != skip_bond and dist[nbr] == dist[cur] - 1:
+            if bidx != skip_bond and dist.get(nbr) == dist[cur] - 1:
                 stack.append(nbr)
     return paths
 
 
-def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingInfo:
-    """Perceive a minimum cycle basis.
+def perceive_rings(
+    n_atoms: int,
+    bonds: list[Bond] | tuple[Bond, ...],
+    adjacency: list[list[tuple[int, int]]] | None = None,
+) -> RingInfo:
+    """Perceive a minimum cycle basis (Downs et al., J. Chem. Inf. Comput.
+    Sci. 29:172, 1989; Figueras, J. Chem. Inf. Comput. Sci. 36:986, 1996).
 
-    For every non-tree bond of a BFS spanning forest, take the smallest
-    cycle through that bond; ties are broken by the lexicographically
-    smallest sorted atom tuple.  If the collected cycles do not span the
-    full cycle space (rank short of bonds - atoms + components), the
-    basis is completed greedily with the forest's fundamental cycles.
-    That happens on ordinary molecules: under some atom orders two
-    non-tree bonds of a fused or bridged ring system share their
-    smallest cycle.
+    Each non-tree bond of a BFS spanning forest closes one fundamental
+    cycle; the bonds on those cycles are the ring bonds, and every other
+    bond is a bridge, which no cycle uses.  A fundamental cycle sharing no
+    atom with another is a ring system of cyclomatic number 1 and is its
+    own ring.  For every other non-tree bond, take the smallest cycle
+    through it over ring bonds only, ties broken by the smallest sorted
+    atom tuple.  If those cycles fall short of the cycle space's rank
+    (bonds - atoms + components), as under some atom orders in fused or
+    bridged systems, the forest's fundamental cycles complete the basis.
+    ``adjacency`` may pass the sorted neighbour lists ``_adjacency`` builds.
     """
-    adj = _adjacency(n_atoms, bonds)
-    bond_index = {(min(b.i, b.j), max(b.i, b.j)): idx for idx, b in enumerate(bonds)}
+    adj = _adjacency(n_atoms, bonds) if adjacency is None else adjacency
+    n_bonds = len(bonds)
 
     # BFS spanning forest, one tree per component, rooted at its
-    # smallest atom; parent[atom] = (parent atom, tree bond).
-    parent: dict[int, tuple[int, int]] = {}
-    visited = [False] * n_atoms
+    # smallest atom.
+    parent = [-1] * n_atoms
+    parent_bond = [-1] * n_atoms
+    depth = [-1] * n_atoms  # -1 until visited
     n_components = 0
     for root in range(n_atoms):
-        if visited[root]:
+        if depth[root] >= 0:
             continue
         n_components += 1
-        visited[root] = True
+        depth[root] = 0
         queue = [root]
         while queue:
             nxt: list[int] = []
             for cur in queue:
-                for nbr, bidx in sorted(adj[cur]):
-                    if not visited[nbr]:
-                        visited[nbr] = True
-                        parent[nbr] = (cur, bidx)
+                below = depth[cur] + 1
+                for nbr, bidx in adj[cur]:
+                    if depth[nbr] < 0:
+                        parent[nbr] = cur
+                        parent_bond[nbr] = bidx
+                        depth[nbr] = below
                         nxt.append(nbr)
             queue = nxt
-    tree_bonds = {bidx for _, bidx in parent.values()}
-    cyclomatic = len(bonds) - n_atoms + n_components
+    if n_bonds - n_atoms + n_components == 0:
+        unmarked = (False,) * n_atoms
+        return RingInfo((), unmarked, (False,) * n_bonds, (0,) * n_atoms, (None,) * n_atoms)
 
-    candidates: list[tuple[int, ...]] = []
+    # Fundamental cycle of each non-tree bond: up from both ends to the
+    # lowest common ancestor, marking the ring bonds on the way.
+    ring_bond = [False] * n_bonds
+    fundamentals: list[tuple[int, tuple[int, ...]]] = []
+    cycles_at = [0] * n_atoms
     for bidx, b in enumerate(bonds):
-        if bidx in tree_bonds:
+        x, y = b.i, b.j
+        if parent_bond[x] == bidx or parent_bond[y] == bidx:
             continue
-        paths = _shortest_cycles_through(b.i, b.j, bidx, adj)
-        cycles = [_normalize_cycle(p) for p in paths]
-        cycles.sort(key=lambda c: (tuple(sorted(c)), c))
-        if cycles:
-            candidates.append(cycles[0])
+        ring_bond[bidx] = True
+        up, down = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up.append(x)
+                ring_bond[parent_bond[x]] = True
+                x = parent[x]
+            else:
+                down.append(y)
+                ring_bond[parent_bond[y]] = True
+                y = parent[y]
+        up.append(x)
+        cycle = tuple(up + down[::-1])
+        for a in cycle:
+            cycles_at[a] += 1
+        fundamentals.append((bidx, cycle))
+    cyclomatic = len(fundamentals)
+
+    # A later duplicate of a bond wins, as the edge masks have always had it.
+    bond_of: dict[tuple[int, int], int] = {}
+    for bidx, flag in enumerate(ring_bond):
+        if flag:
+            b = bonds[bidx]
+            bond_of[b.i, b.j] = bond_of[b.j, b.i] = bidx
 
     rings: list[tuple[int, ...]] = []
-    basis: dict[int, int] = {}
-    for cyc in sorted(set(candidates), key=lambda c: (len(c), tuple(sorted(c)), c)):
-        if _gf2_add(_cycle_edge_mask(cyc, bond_index), basis):
-            rings.append(cyc)
+    joined: list[tuple[int, tuple[int, ...]]] = []  # cycles sharing an atom
+    for bidx, cycle in fundamentals:
+        if all(cycles_at[a] == 1 for a in cycle):
+            rings.append(_normalize_cycle(cycle))
+        else:
+            joined.append((bidx, cycle))
 
-    if len(rings) < cyclomatic:
-        # Fallback: complete the basis with fundamental cycles of the forest.
-        def root_path(x: int) -> list[int]:
-            path = [x]
-            while path[-1] in parent:
-                path.append(parent[path[-1]][0])
-            return path
+    if joined:
+        ring_atoms = {a for _, cycle in joined for a in cycle}
+        ring_adj = {a: [(x, bidx) for x, bidx in adj[a] if ring_bond[bidx]] for a in ring_atoms}
+        candidates = set()
+        for bidx, _ in joined:
+            b = bonds[bidx]
+            paths = _shortest_cycles_through(b.i, b.j, bidx, ring_adj)
+            candidates.add(
+                min((_normalize_cycle(p) for p in paths), key=lambda c: (tuple(sorted(c)), c))
+            )
+        basis: dict[int, int] = {}
+        for cycle in sorted(candidates, key=_ring_key):
+            if _gf2_add(_cycle_edge_mask(cycle, bond_of), basis):
+                rings.append(cycle)
 
-        fundamentals = []
-        for bidx, b in enumerate(bonds):
-            if bidx in tree_bonds:
-                continue
-            pi, pj = root_path(b.i), root_path(b.j)
-            common = set(pi) & set(pj)
-            lca = next(x for x in pi if x in common)
-            cyc = pi[: pi.index(lca)] + [lca] + list(reversed(pj[: pj.index(lca)]))
-            fundamentals.append(_normalize_cycle(tuple(cyc)))
-        for cyc in sorted(set(fundamentals), key=lambda c: (len(c), tuple(sorted(c)), c)):
-            if len(rings) == cyclomatic:
-                break
-            if _gf2_add(_cycle_edge_mask(cyc, bond_index), basis):
-                rings.append(cyc)
+        if len(rings) < cyclomatic:
+            # Complete the basis with fundamental cycles of the forest.
+            for cycle in sorted({_normalize_cycle(c) for _, c in joined}, key=_ring_key):
+                if len(rings) == cyclomatic:
+                    break
+                if _gf2_add(_cycle_edge_mask(cycle, bond_of), basis):
+                    rings.append(cycle)
 
-    rings.sort(key=lambda c: (len(c), tuple(sorted(c)), c))
+    rings.sort(key=_ring_key)
 
     atom_in_ring = [False] * n_atoms
-    bond_in_ring = [False] * len(bonds)
+    bond_in_ring = [False] * n_bonds
     ring_count = [0] * n_atoms
     smallest: list[int | None] = [None] * n_atoms
-    for cyc in rings:
-        for t, a in enumerate(cyc):
+    for cycle in rings:
+        size = len(cycle)
+        prev = cycle[-1]
+        for a in cycle:
             atom_in_ring[a] = True
             ring_count[a] += 1
-            if smallest[a] is None or len(cyc) < smallest[a]:
-                smallest[a] = len(cyc)
-            b = cyc[(t + 1) % len(cyc)]
-            bond_in_ring[bond_index[(min(a, b), max(a, b))]] = True
+            if smallest[a] is None:  # rings are sorted by size
+                smallest[a] = size
+            bond_in_ring[bond_of[prev, a]] = True
+            prev = a
     return RingInfo(
-        rings=tuple(rings),
-        atom_in_ring=tuple(atom_in_ring),
-        bond_in_ring=tuple(bond_in_ring),
-        atom_ring_count=tuple(ring_count),
-        smallest_ring_size=tuple(smallest),
+        tuple(rings), tuple(atom_in_ring), tuple(bond_in_ring), tuple(ring_count), tuple(smallest)
     )
 
 
+@lru_cache(maxsize=4096, typed=True)
 def permitted_valences(element: int, charge: int) -> tuple[int, ...] | None:
-    """Charge-adjusted permitted valences; None means any valence is fine.
+    """Charge-adjusted permitted valences, ascending; None means any
+    valence is fine.
 
     Lone-pair elements (N, P, O, S) gain a slot per positive charge and
     lose one per negative; carbon loses a slot for either ion; boron
@@ -414,8 +461,7 @@ def permitted_valences(element: int, charge: int) -> tuple[int, ...] | None:
         shift = -charge
     else:
         shift = 0
-    vals = tuple(v + shift for v in base if v + shift >= 0)
-    return vals if vals else (0,)
+    return tuple(v + shift for v in base if v + shift >= 0) or (0,)
 
 
 def default_implicit_h(
@@ -432,14 +478,14 @@ def default_implicit_h(
     if vals is None:
         return 0
     primary = other_order_sum + (3 * n_aromatic_bonds) // 2
-    fits = [v for v in vals if v >= primary]
-    if fits:
-        return min(fits) - primary
+    for v in vals:
+        if v >= primary:
+            return v - primary
     if n_aromatic_bonds:
         fallback = other_order_sum + n_aromatic_bonds
-        fits = [v for v in vals if v >= fallback]
-        if fits:
-            return min(fits) - fallback
+        for v in vals:
+            if v >= fallback:
+                return v - fallback
     return None
 
 
@@ -450,76 +496,76 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
     demotion of non-ring aromatic bonds between aromatic atoms (biphenyl
     style) to single, and the valence model that assigns implicit
     hydrogens.  Raises ValenceError or AromaticityError on violations.
+
+    The adjacency is built once and shared with ``perceive_rings``, and
+    equal atoms are one shared ``Atom`` instance.
     """
-    n = len(draft.atoms)
+    drafts = draft.atoms
+    n = len(drafts)
     for b in draft.bonds:
         if not (0 <= b.i < n and 0 <= b.j < n) or b.i == b.j:
             raise ValueError("draft bond endpoints invalid")
+    adj = _adjacency(n, draft.bonds)
+    rings = perceive_rings(n, draft.bonds, adj)
 
-    rings = perceive_rings(n, draft.bonds)
-
-    bonds: list[Bond] = []
-    for bidx, b in enumerate(draft.bonds):
-        if b.order is BondOrder.AROMATIC:
-            ai, aj = draft.atoms[b.i], draft.atoms[b.j]
-            if not (ai.aromatic_flag and aj.aromatic_flag):
+    bonds = list(draft.bonds)
+    n_arom = [0] * n
+    other_sum = [0] * n
+    bond_in_ring = rings.bond_in_ring
+    for bidx, b in enumerate(bonds):
+        order = b.order
+        if order is BondOrder.AROMATIC:
+            if not (drafts[b.i].aromatic_flag and drafts[b.j].aromatic_flag):
                 raise AromaticityError(
                     f"aromatic bond between non-aromatic atoms {b.i} and {b.j}"
                 )
-            if not rings.bond_in_ring[bidx]:
-                b = Bond(b.i, b.j, BondOrder.SINGLE)
-        bonds.append(b)
+            if bond_in_ring[bidx]:
+                n_arom[b.i] += 1
+                n_arom[b.j] += 1
+                continue
+            bonds[bidx] = _shared_bond(b.i, b.j, BondOrder.SINGLE)
+            value = 1
+        else:
+            value = 1 if order is BondOrder.SINGLE else 2 if order is BondOrder.DOUBLE else 3
+        other_sum[b.i] += value
+        other_sum[b.j] += value
 
-    for idx, a in enumerate(draft.atoms):
-        if a.aromatic_flag and not rings.atom_in_ring[idx]:
+    atom_in_ring = rings.atom_in_ring
+    for idx, a in enumerate(drafts):
+        if a.aromatic_flag and not atom_in_ring[idx]:
             raise AromaticityError(f"aromatic atom {idx} is not in any ring")
 
-    adj = _adjacency(n, bonds)
+    heavy_only = all(a.element != 1 for a in drafts)
     atoms: list[Atom] = []
-    for idx, a in enumerate(draft.atoms):
-        n_arom = 0
-        other_sum = 0
-        for _, bidx in adj[idx]:
-            order = bonds[bidx].order
-            if order is BondOrder.AROMATIC:
-                n_arom += 1
-            else:
-                other_sum += order.value
+    total_h: list[int] = []
+    for idx, a in enumerate(drafts):
         # A bracket atom keeps its written hydrogen count, but the total
         # must still fit a permitted valence.
-        h = a.explicit_h or 0
-        implicit = default_implicit_h(a.element, a.formal_charge, n_arom, other_sum + h)
+        h = a.explicit_h
+        bond_sum = other_sum[idx] + (h or 0)
+        implicit = default_implicit_h(a.element, a.formal_charge, n_arom[idx], bond_sum)
         if implicit is None:
             vals = permitted_valences(a.element, a.formal_charge)
             raise ValenceError(
                 f"atom {idx} ({symbol_of(a.element)}): bond order sum "
-                f"{other_sum + h + (3 * n_arom) // 2} exceeds permitted valences {vals}"
+                f"{bond_sum + (3 * n_arom[idx]) // 2} exceeds permitted valences {vals}"
             )
-        if a.explicit_h is not None:
-            implicit = a.explicit_h
-        degree = sum(1 for nbr, _ in adj[idx] if draft.atoms[nbr].element != 1)
+        if h is not None:
+            implicit = h
+        nbrs = adj[idx]
+        if heavy_only:
+            degree = len(nbrs)
+        else:
+            degree = sum(1 for nbr, _ in nbrs if drafts[nbr].element != 1)
         atoms.append(
-            Atom(
-                element=a.element,
-                charge=a.formal_charge,
-                isotope=a.isotope,
-                implicit_h=implicit,
-                aromatic=a.aromatic_flag,
-                degree=degree,
-            )
+            _shared_atom(a.element, a.formal_charge, a.isotope, implicit, a.aromatic_flag, degree)
         )
+        # Neighbours that are not heavy atoms are hydrogens.
+        total_h.append(implicit + len(nbrs) - degree)
 
-    total_h = tuple(
-        atoms[idx].implicit_h + sum(1 for nbr, _ in adj[idx] if atoms[nbr].element == 1)
-        for idx in range(n)
-    )
+    neighbors = tuple(map(tuple, adj))
     return Molecule(
-        atoms=tuple(atoms),
-        bonds=tuple(bonds),
-        neighbors=tuple(tuple(sorted(adj[idx])) for idx in range(n)),
-        rings=rings,
-        total_h=total_h,
-        source_text=draft.source_text,
+        tuple(atoms), tuple(bonds), neighbors, rings, tuple(total_h), draft.source_text
     )
 
 

@@ -8,6 +8,7 @@ worker count wherever a batch runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -261,8 +262,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it takes milliseconds
+    and leaves reference cycles for the garbage collector."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "jobs", 0) is None:  # compute or search without --jobs
         env = os.environ.get("MOLFP_JOBS", "1")
         try:

@@ -283,7 +283,7 @@ class _AtomExprScanner(_ExprScanner):
 
     def _number(self) -> int | None:
         j = self.i
-        while j < len(self.text) and self.text[j].isdigit():
+        while j < len(self.text) and "0" <= self.text[j] <= "9":
             j += 1
         if j == self.i:
             return None
@@ -299,7 +299,7 @@ class _AtomExprScanner(_ExprScanner):
             self.unsupported("$(...) recursive SMARTS")
         if c == "@":
             self.unsupported("@ chirality")
-        if c.isdigit():
+        if "0" <= c <= "9":
             self.unsupported("isotope specification")
         if c == "#":
             self.i += 1
@@ -428,11 +428,12 @@ def parse_smarts(text: str) -> SmartsPattern:
             pending = stripped[i:j]
             pending_pos = i
             i = j
-        elif c.isdigit() or c == "%":
+        elif "0" <= c <= "9" or c == "%":
             if c == "%":
-                if i + 2 >= n or not stripped[i + 1 : i + 3].isdigit():
+                digits = stripped[i + 1 : i + 3]
+                if i + 2 >= n or not (digits.isascii() and digits.isdigit()):
                     raise SmartsSyntaxError("%% ring closure needs two digits", i)
-                num = int(stripped[i + 1 : i + 3])
+                num = int(digits)
                 i += 3
             else:
                 num = int(c)

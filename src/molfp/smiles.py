@@ -39,6 +39,7 @@ from .errors import (
 
 MAX_CHARGE = 15
 
+# ASCII digits only: a Unicode \d would also read '٣' as a digit.
 _BRACKET_RE = re.compile(
     r"\[(?P<isotope>\d+)?"
     r"(?P<symbol>[A-Za-z][a-z]?)"
@@ -46,7 +47,8 @@ _BRACKET_RE = re.compile(
     r"(?P<hcount>H\d*)?"
     r"(?P<charge>[+-]\d+|\++|-+)?"
     r"(?::(?P<map>\d+))?"
-    r"\]$"
+    r"\]$",
+    re.ASCII,
 )
 
 
@@ -67,52 +69,43 @@ class SmilesToken:
     pos: int
 
 
+# One group per token kind, in TokenKind order, so that a match's
+# lastindex names its kind.  Two-letter organic symbols are tried first.
+_TOKEN_RE = re.compile(
+    r"(Cl|Br|[BCNOPSFIbcnops])|(\[[^\]]*\])|([-=#:/\\])|([0-9]|%[0-9][0-9])|(\()|(\))|(\.)"
+)
+_TOKEN_KINDS = (None, *TokenKind)
+_ORGANIC, _BRACKET, _BOND, _RING, _OPEN, _CLOSE, _DOT = range(1, 8)
+
+
+def _scan(text: str) -> list[tuple[int, str, int]]:
+    """(kind number, token text, position) for every token of ``text``;
+    the first character that starts no token raises SmilesSyntaxError."""
+    tokens = []
+    end = 0
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != end:
+            break
+        end = m.end()
+        tokens.append((m.lastindex, m.group(), start))
+    if end == len(text):
+        return tokens
+    c = text[end]
+    if c == "[":
+        raise SmilesSyntaxError("unclosed bracket atom", end)
+    if c == "%":
+        raise SmilesSyntaxError("%% ring closure needs two digits", end)
+    raise SmilesSyntaxError(f"unknown symbol {c!r}", end)
+
+
 def tokenize(text: str) -> list[SmilesToken]:
     """Split SMILES text into tokens with source positions.
 
     Token spans are contiguous and cover the whole input; any character
     that starts no valid token raises SmilesSyntaxError at its position.
     """
-    tokens: list[SmilesToken] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "[":
-            end = text.find("]", i)
-            if end < 0:
-                raise SmilesSyntaxError("unclosed bracket atom", i)
-            tokens.append(SmilesToken(TokenKind.ATOM_BRACKET, text[i : end + 1], i))
-            i = end + 1
-        elif text[i : i + 2] in ORGANIC_TWO:
-            tokens.append(SmilesToken(TokenKind.ATOM_ORGANIC, text[i : i + 2], i))
-            i += 2
-        elif c in ORGANIC_ONE or c in ORGANIC_AROMATIC:
-            tokens.append(SmilesToken(TokenKind.ATOM_ORGANIC, c, i))
-            i += 1
-        elif c in "-=#:/\\":
-            tokens.append(SmilesToken(TokenKind.BOND, c, i))
-            i += 1
-        elif c.isdigit():
-            tokens.append(SmilesToken(TokenKind.RING, c, i))
-            i += 1
-        elif c == "%":
-            if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
-                raise SmilesSyntaxError("%% ring closure needs two digits", i)
-            tokens.append(SmilesToken(TokenKind.RING, text[i : i + 3], i))
-            i += 3
-        elif c == "(":
-            tokens.append(SmilesToken(TokenKind.BRANCH_OPEN, c, i))
-            i += 1
-        elif c == ")":
-            tokens.append(SmilesToken(TokenKind.BRANCH_CLOSE, c, i))
-            i += 1
-        elif c == ".":
-            tokens.append(SmilesToken(TokenKind.DOT, c, i))
-            i += 1
-        else:
-            raise SmilesSyntaxError(f"unknown symbol {c!r}", i)
-    return tokens
+    return [SmilesToken(_TOKEN_KINDS[kind], tok, pos) for kind, tok, pos in _scan(text)]
 
 
 def _parse_charge(text: str, pos: int) -> int:
@@ -127,58 +120,38 @@ def _parse_charge(text: str, pos: int) -> int:
     return charge
 
 
-def _parse_bracket(token: SmilesToken) -> tuple[AtomDraft, bool]:
+def _parse_bracket(text: str, pos: int) -> tuple[AtomDraft, bool]:
     """Decompose a bracket token; returns the atom and a stereo-seen flag."""
-    m = _BRACKET_RE.match(token.text)
+    m = _BRACKET_RE.match(text)
     if m is None:
-        raise SmilesSyntaxError(f"malformed bracket atom {token.text!r}", token.pos)
+        raise SmilesSyntaxError(f"malformed bracket atom {text!r}", pos)
     symbol = m.group("symbol")
     aromatic = False
     if symbol[0].islower():
         element = LOWERCASE_AROMATIC.get(symbol)
         if element is None:
-            raise SmilesSyntaxError(f"unknown aromatic symbol {symbol!r}", token.pos)
+            raise SmilesSyntaxError(f"unknown aromatic symbol {symbol!r}", pos)
         aromatic = True
     else:
         element = atomic_number(symbol)
         if element is None:
-            raise SmilesSyntaxError(f"unknown element symbol {symbol!r}", token.pos)
+            raise SmilesSyntaxError(f"unknown element symbol {symbol!r}", pos)
     iso = m.group("isotope")
     hspec = m.group("hcount")
-    if hspec is None:
-        hcount = 0
-    elif hspec == "H":
-        hcount = 1
-    else:
-        hcount = int(hspec[1:])
-    charge = 0
-    if m.group("charge"):
-        charge = _parse_charge(m.group("charge"), token.pos)
-    atom = AtomDraft(
-        element=element,
-        formal_charge=charge,
-        isotope=int(iso) if iso else None,
-        explicit_h=hcount,
-        aromatic_flag=aromatic,
-    )
+    hcount = 0 if hspec is None else int(hspec[1:] or 1)
+    charge = _parse_charge(m.group("charge"), pos) if m.group("charge") else 0
+    atom = AtomDraft(element, charge, int(iso) if iso else None, hcount, aromatic)
     return atom, m.group("stereo") is not None
 
 
-def _parse_organic(token: SmilesToken) -> AtomDraft:
-    sym = token.text
-    if sym in LOWERCASE_AROMATIC and len(sym) == 1:
-        return AtomDraft(element=LOWERCASE_AROMATIC[sym], aromatic_flag=True)
-    element = atomic_number(sym)
-    assert element is not None  # tokenizer only emits known symbols
-    return AtomDraft(element=element)
-
-
-_BOND_CHARS = {
-    "-": BondOrder.SINGLE,
-    "=": BondOrder.DOUBLE,
-    "#": BondOrder.TRIPLE,
-    ":": BondOrder.AROMATIC,
+# Organic-subset symbol -> (element, aromatic flag).
+_ORGANIC_ATOMS = {
+    **{sym: (atomic_number(sym), False) for sym in (*ORGANIC_TWO, *ORGANIC_ONE)},
+    **{sym: (LOWERCASE_AROMATIC[sym], True) for sym in ORGANIC_AROMATIC},
 }
+
+_BOND_CHARS = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE,
+               ":": BondOrder.AROMATIC, "/": BondOrder.SINGLE, "\\": BondOrder.SINGLE}
 
 
 def parse_smiles(text: str) -> MoleculeDraft:
@@ -187,103 +160,91 @@ def parse_smiles(text: str) -> MoleculeDraft:
     Ring-closure bonds are resolved, branches attached, and dots produce
     disconnected components.  An unspecified bond between two aromatic
     atoms is provisionally aromatic (sanitize demotes it to single when
-    it lies outside every ring).
+    it lies outside every ring).  The whole text is tokenized first, so a
+    character that starts no token wins over any grammar error.
     """
     stripped = text.strip()
     if not stripped:
         raise SmilesSyntaxError("empty SMILES", 0)
     offset = text.index(stripped[0])
     draft = MoleculeDraft(source_text=stripped)
+    atoms = draft.atoms
+    aromatic: list[bool] = []  # per atom, its aromatic flag
     anchor: int | None = None
-    pending: tuple[BondOrder, int] | None = None
+    pending: BondOrder | None = None
+    pending_pos = 0
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
 
-    def take_pending() -> BondOrder | None:
-        nonlocal pending
-        if pending is None:
-            return None
-        order = pending[0]
-        pending = None
-        return order
-
-    def attach(new_idx: int, pos: int) -> None:
-        nonlocal anchor
-        if anchor is not None:
-            order = take_pending()
-            if order is None:
-                both_aromatic = (
-                    draft.atoms[anchor].aromatic_flag and draft.atoms[new_idx].aromatic_flag
-                )
-                order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-            try:
-                draft.add_bond(anchor, new_idx, order)
-            except ValueError as exc:
-                raise SmilesSyntaxError(str(exc), pos) from None
-        anchor = new_idx
-
-    for tok in tokenize(stripped):
-        pos = tok.pos + offset
-        if tok.kind is TokenKind.ATOM_BRACKET:
-            atom, stereo = _parse_bracket(tok)
-            if stereo:
-                draft.stereo_ignored = True
-            attach(draft.add_atom(atom), pos)
-        elif tok.kind is TokenKind.ATOM_ORGANIC:
-            attach(draft.add_atom(_parse_organic(tok)), pos)
-        elif tok.kind is TokenKind.BOND:
+    for kind, tok, tok_pos in _scan(stripped):
+        pos = tok_pos + offset
+        if kind == _ORGANIC or kind == _BRACKET:
+            if kind == _ORGANIC:
+                element, flag = _ORGANIC_ATOMS[tok]
+                atom = AtomDraft(element, 0, None, None, flag)
+            else:
+                # Errors inside a bracket atom count from the stripped text.
+                atom, stereo = _parse_bracket(tok, tok_pos)
+                if stereo:
+                    draft.stereo_ignored = True
+            atoms.append(atom)
+            flag = atom.aromatic_flag
+            aromatic.append(flag)
+            new = len(atoms) - 1
+            if anchor is not None:
+                both = flag and aromatic[anchor]
+                order = pending or (BondOrder.AROMATIC if both else BondOrder.SINGLE)
+                # A bond to the newest atom cannot be a loop or a duplicate.
+                draft.add_bond(anchor, new, order)
+                pending = None
+            anchor = new
+        elif kind == _BOND:
             if pending is not None:
                 raise SmilesSyntaxError("two bond symbols in a row", pos)
             if anchor is None:
                 raise SmilesSyntaxError("bond symbol before any atom", pos)
-            if tok.text in "/\\":
+            if tok in "/\\":
                 draft.stereo_ignored = True
-                pending = (BondOrder.SINGLE, pos)
-            else:
-                pending = (_BOND_CHARS[tok.text], pos)
-        elif tok.kind is TokenKind.RING:
-            num = int(tok.text[1:]) if tok.text.startswith("%") else int(tok.text)
+            pending = _BOND_CHARS[tok]
+            pending_pos = pos
+        elif kind == _RING:
             if anchor is None:
                 raise SmilesSyntaxError("ring closure before any atom", pos)
+            num = int(tok[1:] if tok[0] == "%" else tok)
             if num in open_rings:
-                other, other_order, other_pos = open_rings.pop(num)
-                this_order = take_pending()
-                if other_order is not None and this_order is not None and other_order is not this_order:
+                other, other_order, _ = open_rings.pop(num)
+                if other_order is not None and pending is not None and other_order is not pending:
                     raise SmilesSyntaxError(
                         f"conflicting bond orders on ring closure {num}", pos
                     )
-                order = this_order if this_order is not None else other_order
-                if order is None:
-                    both_aromatic = (
-                        draft.atoms[anchor].aromatic_flag
-                        and draft.atoms[other].aromatic_flag
-                    )
-                    order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
+                both = aromatic[anchor] and aromatic[other]
+                order = pending or other_order or (BondOrder.AROMATIC if both else BondOrder.SINGLE)
                 try:
                     draft.add_bond(anchor, other, order)
                 except ValueError as exc:
                     raise SmilesSyntaxError(str(exc), pos) from None
             else:
-                open_rings[num] = (anchor, take_pending(), pos)
-        elif tok.kind is TokenKind.BRANCH_OPEN:
+                open_rings[num] = (anchor, pending, pos)
+            pending = None
+        elif kind == _OPEN:
             if anchor is None:
                 raise SmilesSyntaxError("branch before any atom", pos)
             if pending is not None:
                 raise SmilesSyntaxError("bond symbol before branch open", pos)
             branch_stack.append(anchor)
-        elif tok.kind is TokenKind.BRANCH_CLOSE:
+        elif kind == _CLOSE:
             if not branch_stack:
                 raise UnbalancedParenError("unmatched ')'", pos)
             if pending is not None:
                 raise SmilesSyntaxError("dangling bond symbol before ')'", pos)
             anchor = branch_stack.pop()
-        elif tok.kind is TokenKind.DOT:
+        else:
             if pending is not None:
                 raise SmilesSyntaxError("bond symbol before '.'", pos)
             anchor = None
 
     if pending is not None:
-        raise SmilesSyntaxError("dangling bond symbol at end of input", pending[1])
+        raise SmilesSyntaxError("dangling bond symbol at end of input", pending_pos)
     if open_rings:
         num, (_, _, pos) = min(open_rings.items(), key=lambda kv: kv[1][2])
         raise UnclosedRingError(f"ring closure {num} never matched", pos)
@@ -364,18 +325,11 @@ def _atom_label(mol: Molecule, idx: int) -> str:
     if a.isotope is not None:
         parts.append(str(a.isotope))
     parts.append(sym)
-    if a.implicit_h == 1:
-        parts.append("H")
-    elif a.implicit_h > 1:
-        parts.append(f"H{a.implicit_h}")
-    if a.charge == 1:
-        parts.append("+")
-    elif a.charge == -1:
-        parts.append("-")
-    elif a.charge > 1:
-        parts.append(f"+{a.charge}")
-    elif a.charge < -1:
-        parts.append(f"-{-a.charge}")
+    if a.implicit_h > 0:
+        parts.append("H" if a.implicit_h == 1 else f"H{a.implicit_h}")
+    if a.charge:
+        sign = "+" if a.charge > 0 else "-"
+        parts.append(sign if abs(a.charge) == 1 else f"{sign}{abs(a.charge)}")
     parts.append("]")
     return "".join(parts)
 

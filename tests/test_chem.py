@@ -180,6 +180,70 @@ class TestRings:
         b = from_smiles("c1ccc2ccccc2c1")
         assert a.rings == b.rings
 
+    # Exact rings (members, order and orientation) as perception has
+    # always returned them: spiro, fused, bridged, several components, and
+    # rings among bridges and acyclic branches.
+    PINNED = [
+        ("C1CCC2(CC1)CCCC2", ((3, 6, 7, 8, 9), (0, 1, 2, 3, 4, 5))),
+        ("c1ccc2ccccc2c1", ((0, 1, 2, 3, 8, 9), (3, 4, 5, 6, 7, 8))),
+        (
+            "c1ccc2cc3ccccc3cc2c1",
+            ((0, 1, 2, 3, 12, 13), (3, 4, 5, 10, 11, 12), (5, 6, 7, 8, 9, 10)),
+        ),
+        ("C1CC2CCC1CC2", ((0, 1, 2, 3, 4, 5), (0, 1, 2, 7, 6, 5))),
+        ("C1CC2CCC1C2", ((0, 1, 2, 6, 5), (2, 3, 4, 5, 6))),
+        (
+            "C12C3C4C1C5C2C3C45",
+            ((0, 1, 2, 3), (0, 1, 6, 5), (0, 3, 4, 5), (1, 2, 7, 6), (2, 3, 4, 7)),
+        ),
+        ("C1CC1.c1ccccc1.CCO", ((0, 1, 2), (3, 4, 5, 6, 7, 8))),
+        ("CC(C)c1ccc(CC(C)N)cc1", ((3, 4, 5, 6, 11, 12),)),
+        ("c1ccccc1-c1ccccc1", ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11))),
+    ]
+
+    @pytest.mark.parametrize("smiles,rings", PINNED)
+    def test_pinned_rings(self, smiles, rings):
+        info = from_smiles(smiles).rings
+        assert info.rings == rings
+        ring_bonds = {frozenset(p) for r in rings for p in zip(r, r[1:] + r[:1])}
+        mol = from_smiles(smiles)
+        assert info.bond_in_ring == tuple(frozenset((b.i, b.j)) in ring_bonds for b in mol.bonds)
+        n = mol.n_atoms
+        assert info.atom_ring_count == tuple(sum(a in r for r in rings) for a in range(n))
+        assert info.smallest_ring_size == tuple(
+            min((len(r) for r in rings if a in r), default=None) for a in range(n)
+        )
+
+    def test_pinned_derived_fields(self):
+        info = from_smiles("CC(C)c1ccc(CC(C)N)cc1").rings
+        assert info.bond_in_ring == (
+            False, False, False, True, True, True, False, False, False, False, True, True, True
+        )
+        assert info.atom_ring_count == (0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1)
+        assert info.smallest_ring_size == (
+            None, None, None, 6, 6, 6, 6, None, None, None, None, 6, 6
+        )
+
+    def test_random_graphs_against_exhaustive_oracle(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            edges: list[tuple[int, int]] = []
+            for _ in range(rng.randint(0, n + 3)):
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i != j and (i, j) not in edges and (j, i) not in edges:
+                    edges.append((i, j))
+            info = perceive_rings(n, [Bond(i, j, BondOrder.SINGLE) for i, j in edges])
+            rings = list(info.rings)
+            assert len(rings) == cyclomatic_number(n, edges)
+            all_cycles = enumerate_simple_cycles(n, edges)
+            assert all(r in all_cycles for r in rings)
+            assert independent_cycles(edges, rings)
+            oracle = greedy_min_cycle_basis(n, edges)
+            assert sum(map(len, rings)) == sum(map(len, oracle))
+            on_cycle = {frozenset(p) for c in all_cycles for p in zip(c, c[1:] + c[:1])}
+            assert info.bond_in_ring == tuple(frozenset(e) in on_cycle for e in edges)
+
     def test_perceive_rings_direct_call(self):
         bonds = [Bond(i, (i + 1) % 6, BondOrder.SINGLE) for i in range(6)]
         info = perceive_rings(6, bonds)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from molfp import (
@@ -199,6 +201,15 @@ class TestCompute:
             )
             == 1
         )
+
+    def test_non_ascii_digit_in_key_file_exits_1(self, smi_file, tmp_path, capsys):
+        keys = tmp_path / "keys.smarts"
+        keys.write_text("K1\t[#²]\tbad\n", encoding="utf-8")
+        argv = ["compute", str(smi_file), str(tmp_path / "o.mat"), "--fingerprint",
+                "substructure", "--key-set", str(keys)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{keys}:1: bad SMARTS '[#²]'" in err
 
     def test_usage_error_exit_2(self, smi_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -484,3 +495,10 @@ class TestGenCorpus:
         assert main(["gen-corpus", str(src), "--count", "10"]) == 0
         assert main(["compute", str(src), str(out), "--fingerprint", "fcfp"]) == 0
         assert load(out).rows == 10
+
+    def test_repeat_call_leaves_no_cyclic_garbage(self, tmp_path):
+        argv = ["gen-corpus", str(tmp_path / "c.smi"), "--count", "5", "--seed", "1"]
+        assert main(argv) == 0
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0

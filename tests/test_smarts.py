@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molfp import (
     KeySetError,
+    MolfpError,
     SmartsSyntaxError,
     UnsupportedPrimitiveError,
     count_unique,
@@ -298,3 +302,21 @@ def test_patterns_survive_pickling():
         clone = pickle.loads(pickle.dumps(pat))
         assert clone == pat
     assert has_match(pickle.loads(pickle.dumps(parse_smarts("[OX2H]"))), from_smiles("CCO"))
+
+
+@pytest.mark.parametrize(
+    "text,position", [("[#²]", 2), ("C%²²C", 1), ("C²CC²", 1), ("C١CC١", 1), ("[²C]", 1)]
+)
+def test_non_ascii_digits_are_syntax_errors(text, position):
+    with pytest.raises(SmartsSyntaxError) as exc:
+        parse_smarts(text)
+    assert exc.value.position == position
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=string.printable + "²١٣", max_size=30))
+def test_smarts_parser_never_crashes_outside_error_types(text):
+    try:
+        parse_smarts(text)
+    except MolfpError:
+        pass  # documented failure modes only

@@ -155,8 +155,77 @@ class TestParser:
         assert len(mol.rings.rings) == 1
 
 
+# (text, error type, message, position) as the parser has always given
+# them.  Tokenizer errors win over grammar errors anywhere in the text
+# ("C)C$"); errors inside a bracket atom count from the stripped text,
+# every other position from the text as given.
+PINNED_ERRORS = [
+    ("", SmilesSyntaxError, "empty SMILES", 0),
+    ("   ", SmilesSyntaxError, "empty SMILES", 0),
+    ("C)C$", SmilesSyntaxError, "unknown symbol '$'", 3),
+    ("C(C$", SmilesSyntaxError, "unknown symbol '$'", 3),
+    ("C$C)", SmilesSyntaxError, "unknown symbol '$'", 1),
+    ("CC?C", SmilesSyntaxError, "unknown symbol '?'", 2),
+    ("CC)C", UnbalancedParenError, "unmatched ')'", 2),
+    ("C.)", UnbalancedParenError, "unmatched ')'", 2),
+    ("  C)C", UnbalancedParenError, "unmatched ')'", 3),
+    ("C(C", UnbalancedParenError, "unclosed '('", 2),
+    ("C(C)(C", UnbalancedParenError, "unclosed '('", 5),
+    ("C1CC", UnclosedRingError, "ring closure 1 never matched", 1),
+    ("C1CC2", UnclosedRingError, "ring closure 1 never matched", 1),
+    ("C%12CC%13", UnclosedRingError, "ring closure 12 never matched", 1),
+    ("CC=", SmilesSyntaxError, "dangling bond symbol at end of input", 2),
+    ("C(C)=", SmilesSyntaxError, "dangling bond symbol at end of input", 4),
+    ("C(=)C", SmilesSyntaxError, "dangling bond symbol before ')'", 3),
+    ("=CC", SmilesSyntaxError, "bond symbol before any atom", 0),
+    ("C==C", SmilesSyntaxError, "two bond symbols in a row", 2),
+    ("C=(C)C", SmilesSyntaxError, "bond symbol before branch open", 2),
+    ("C=.C", SmilesSyntaxError, "bond symbol before '.'", 2),
+    ("1CC", SmilesSyntaxError, "ring closure before any atom", 0),
+    ("(C)C", SmilesSyntaxError, "branch before any atom", 0),
+    ("C=1CCCCC#1", SmilesSyntaxError, "conflicting bond orders on ring closure 1", 9),
+    ("C11", SmilesSyntaxError, "self-loop bond on atom 0", 2),
+    ("C12CC12", SmilesSyntaxError, "duplicate bond between atoms 2 and 0", 6),
+    ("C1C1", SmilesSyntaxError, "duplicate bond between atoms 1 and 0", 3),
+    ("[Zz]", SmilesSyntaxError, "unknown element symbol 'Zz'", 0),
+    ("  [Zz]", SmilesSyntaxError, "unknown element symbol 'Zz'", 0),
+    ("[zz]", SmilesSyntaxError, "unknown aromatic symbol 'zz'", 0),
+    ("[13]", SmilesSyntaxError, "malformed bracket atom '[13]'", 0),
+    ("[C", SmilesSyntaxError, "unclosed bracket atom", 0),
+    ("C[CH3", SmilesSyntaxError, "unclosed bracket atom", 1),
+    ("[O-16]", ChargeOverflowError, "|charge| 16 exceeds 15", 0),
+    ("[C++++++++++++++++]", ChargeOverflowError, "|charge| 16 exceeds 15", 0),
+    ("C%1C", SmilesSyntaxError, "%% ring closure needs two digits", 1),
+    (" C%", SmilesSyntaxError, "%% ring closure needs two digits", 1),
+]
+
+
+@pytest.mark.parametrize("text,kind,message,position", PINNED_ERRORS)
+def test_pinned_parser_errors(text, kind, message, position):
+    with pytest.raises(MolfpError) as exc:
+        parse_smiles(text)
+    assert type(exc.value) is kind
+    assert (exc.value.message, exc.value.position) == (message, position)
+
+
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("C²CC²", "unknown symbol '²'", 1),
+        ("C١CC١", "unknown symbol '١'", 1),
+        ("C%²²C", "%% ring closure needs two digits", 1),
+        ("[١٣C]", "malformed bracket atom '[١٣C]'", 0),
+        ("[CH٣]", "malformed bracket atom '[CH٣]'", 0),
+    ],
+)
+def test_non_ascii_digits_are_syntax_errors(text, message, position):
+    with pytest.raises(SmilesSyntaxError) as exc:
+        from_smiles(text)
+    assert (exc.value.message, exc.value.position) == (message, position)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.text(alphabet=string.printable, max_size=30))
+@given(st.text(alphabet=string.printable + "²١٣", max_size=30))
 def test_parser_never_crashes_outside_error_types(text):
     try:
         sanitize(parse_smiles(text))
