@@ -127,7 +127,10 @@ class Bond:
 
 
 # Frozen values built over and over are shared, one instance per
-# distinct argument tuple (argument types included).
+# distinct argument tuple (argument types included).  Bonds repeat
+# across molecules because atom indices are small: 600 corpus molecules
+# give about 420 distinct bonds, the 47 large benchmark molecules about
+# 1,150.  The bound keeps unusual input from growing the tables.
 _shared_bond = lru_cache(maxsize=4096, typed=True)(Bond)
 
 
@@ -306,11 +309,7 @@ def _shortest_cycles_through(
     return paths
 
 
-def perceive_rings(
-    n_atoms: int,
-    bonds: list[Bond] | tuple[Bond, ...],
-    adjacency: list[list[tuple[int, int]]] | None = None,
-) -> RingInfo:
+def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingInfo:
     """Perceive a minimum cycle basis (Downs et al., J. Chem. Inf. Comput.
     Sci. 29:172, 1989; Figueras, J. Chem. Inf. Comput. Sci. 36:986, 1996).
 
@@ -323,9 +322,8 @@ def perceive_rings(
     atom tuple.  If those cycles fall short of the cycle space's rank
     (bonds - atoms + components), as under some atom orders in fused or
     bridged systems, the forest's fundamental cycles complete the basis.
-    ``adjacency`` may pass the sorted neighbour lists ``_adjacency`` builds.
     """
-    adj = _adjacency(n_atoms, bonds) if adjacency is None else adjacency
+    adj = _adjacency(n_atoms, bonds)
     n_bonds = len(bonds)
 
     # BFS spanning forest, one tree per component, rooted at its
@@ -352,8 +350,13 @@ def perceive_rings(
                         nxt.append(nbr)
             queue = nxt
     if n_bonds - n_atoms + n_components == 0:
-        unmarked = (False,) * n_atoms
-        return RingInfo((), unmarked, (False,) * n_bonds, (0,) * n_atoms, (None,) * n_atoms)
+        return RingInfo(
+            rings=(),
+            atom_in_ring=(False,) * n_atoms,
+            bond_in_ring=(False,) * n_bonds,
+            atom_ring_count=(0,) * n_atoms,
+            smallest_ring_size=(None,) * n_atoms,
+        )
 
     # Fundamental cycle of each non-tree bond: up from both ends to the
     # lowest common ancestor, marking the ring bonds on the way.
@@ -437,7 +440,11 @@ def perceive_rings(
             bond_in_ring[bond_of[prev, a]] = True
             prev = a
     return RingInfo(
-        tuple(rings), tuple(atom_in_ring), tuple(bond_in_ring), tuple(ring_count), tuple(smallest)
+        rings=tuple(rings),
+        atom_in_ring=tuple(atom_in_ring),
+        bond_in_ring=tuple(bond_in_ring),
+        atom_ring_count=tuple(ring_count),
+        smallest_ring_size=tuple(smallest),
     )
 
 
@@ -461,7 +468,8 @@ def permitted_valences(element: int, charge: int) -> tuple[int, ...] | None:
         shift = -charge
     else:
         shift = 0
-    return tuple(v + shift for v in base if v + shift >= 0) or (0,)
+    vals = tuple(v + shift for v in base if v + shift >= 0)
+    return vals if vals else (0,)
 
 
 def default_implicit_h(
@@ -497,16 +505,16 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
     style) to single, and the valence model that assigns implicit
     hydrogens.  Raises ValenceError or AromaticityError on violations.
 
-    The adjacency is built once and shared with ``perceive_rings``, and
-    equal atoms are one shared ``Atom`` instance.
+    One loop over the bonds tallies each atom's aromatic bonds and other
+    bond-order sum; valences come from a table keyed by (element, charge),
+    and equal atoms are one shared ``Atom`` instance.
     """
     drafts = draft.atoms
     n = len(drafts)
     for b in draft.bonds:
         if not (0 <= b.i < n and 0 <= b.j < n) or b.i == b.j:
             raise ValueError("draft bond endpoints invalid")
-    adj = _adjacency(n, draft.bonds)
-    rings = perceive_rings(n, draft.bonds, adj)
+    rings = perceive_rings(n, draft.bonds)
 
     bonds = list(draft.bonds)
     n_arom = [0] * n
@@ -535,6 +543,7 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
         if a.aromatic_flag and not atom_in_ring[idx]:
             raise AromaticityError(f"aromatic atom {idx} is not in any ring")
 
+    adj = _adjacency(n, bonds)
     heavy_only = all(a.element != 1 for a in drafts)
     atoms: list[Atom] = []
     total_h: list[int] = []
@@ -557,15 +566,21 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
             degree = len(nbrs)
         else:
             degree = sum(1 for nbr, _ in nbrs if drafts[nbr].element != 1)
+        # Positional, in Atom's field order: keyword arguments would make
+        # the cache key cost about as much as building the Atom.
         atoms.append(
             _shared_atom(a.element, a.formal_charge, a.isotope, implicit, a.aromatic_flag, degree)
         )
         # Neighbours that are not heavy atoms are hydrogens.
         total_h.append(implicit + len(nbrs) - degree)
 
-    neighbors = tuple(map(tuple, adj))
     return Molecule(
-        tuple(atoms), tuple(bonds), neighbors, rings, tuple(total_h), draft.source_text
+        atoms=tuple(atoms),
+        bonds=tuple(bonds),
+        neighbors=tuple(map(tuple, adj)),
+        rings=rings,
+        total_h=tuple(total_h),
+        source_text=draft.source_text,
     )
 
 

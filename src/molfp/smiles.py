@@ -71,8 +71,11 @@ class SmilesToken:
 
 # One group per token kind, in TokenKind order, so that a match's
 # lastindex names its kind.  Two-letter organic symbols are tried first.
+_ORGANIC_RE = "|".join(map(re.escape, ORGANIC_TWO)) + "|[" + "".join(
+    map(re.escape, sorted(ORGANIC_ONE | ORGANIC_AROMATIC))
+) + "]"
 _TOKEN_RE = re.compile(
-    r"(Cl|Br|[BCNOPSFIbcnops])|(\[[^\]]*\])|([-=#:/\\])|([0-9]|%[0-9][0-9])|(\()|(\))|(\.)"
+    rf"({_ORGANIC_RE})|(\[[^\]]*\])|([-=#:/\\])|([0-9]|%[0-9][0-9])|(\()|(\))|(\.)"
 )
 _TOKEN_KINDS = (None, *TokenKind)
 _ORGANIC, _BRACKET, _BOND, _RING, _OPEN, _CLOSE, _DOT = range(1, 8)
@@ -138,9 +141,22 @@ def _parse_bracket(text: str, pos: int) -> tuple[AtomDraft, bool]:
             raise SmilesSyntaxError(f"unknown element symbol {symbol!r}", pos)
     iso = m.group("isotope")
     hspec = m.group("hcount")
-    hcount = 0 if hspec is None else int(hspec[1:] or 1)
-    charge = _parse_charge(m.group("charge"), pos) if m.group("charge") else 0
-    atom = AtomDraft(element, charge, int(iso) if iso else None, hcount, aromatic)
+    if hspec is None:
+        hcount = 0
+    elif hspec == "H":
+        hcount = 1
+    else:
+        hcount = int(hspec[1:])
+    charge = 0
+    if m.group("charge"):
+        charge = _parse_charge(m.group("charge"), pos)
+    atom = AtomDraft(
+        element=element,
+        formal_charge=charge,
+        isotope=int(iso) if iso else None,
+        explicit_h=hcount,
+        aromatic_flag=aromatic,
+    )
     return atom, m.group("stereo") is not None
 
 
@@ -181,7 +197,7 @@ def parse_smiles(text: str) -> MoleculeDraft:
         if kind == _ORGANIC or kind == _BRACKET:
             if kind == _ORGANIC:
                 element, flag = _ORGANIC_ATOMS[tok]
-                atom = AtomDraft(element, 0, None, None, flag)
+                atom = AtomDraft(element=element, aromatic_flag=flag)
             else:
                 # Errors inside a bracket atom count from the stripped text.
                 atom, stereo = _parse_bracket(tok, tok_pos)
@@ -325,11 +341,18 @@ def _atom_label(mol: Molecule, idx: int) -> str:
     if a.isotope is not None:
         parts.append(str(a.isotope))
     parts.append(sym)
-    if a.implicit_h > 0:
-        parts.append("H" if a.implicit_h == 1 else f"H{a.implicit_h}")
-    if a.charge:
-        sign = "+" if a.charge > 0 else "-"
-        parts.append(sign if abs(a.charge) == 1 else f"{sign}{abs(a.charge)}")
+    if a.implicit_h == 1:
+        parts.append("H")
+    elif a.implicit_h > 1:
+        parts.append(f"H{a.implicit_h}")
+    if a.charge == 1:
+        parts.append("+")
+    elif a.charge == -1:
+        parts.append("-")
+    elif a.charge > 1:
+        parts.append(f"+{a.charge}")
+    elif a.charge < -1:
+        parts.append(f"-{-a.charge}")
     parts.append("]")
     return "".join(parts)
 
