@@ -164,7 +164,12 @@ class MoleculeDraft:
     _pairs: set[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._pairs = {(min(b.i, b.j), max(b.i, b.j)) for b in self.bonds}
+        self._pairs = set()
+        for b in self.bonds:
+            pair = (b.i, b.j) if b.i < b.j else (b.j, b.i)
+            if pair in self._pairs:
+                raise ValueError(f"duplicate bond between atoms {b.i} and {b.j}")
+            self._pairs.add(pair)
 
     def add_atom(self, atom: AtomDraft) -> int:
         self.atoms.append(atom)

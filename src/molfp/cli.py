@@ -61,12 +61,14 @@ def read_smi(path: str) -> list[SmiRecord]:
 
 
 def _jobs_arg(value: str):
-    """A worker count: "auto" or a positive integer, else ValueError."""
+    """A worker count: "auto" or a positive ASCII integer, else ValueError."""
     if value == "auto":
         return "auto"
-    if int(value) < 1:
+    # int() would also read non-ASCII digits such as "١".
+    jobs = int(value) if value.isascii() else 0
+    if jobs < 1:
         raise ValueError(f"not a positive worker count: {value!r}")
-    return int(value)
+    return jobs
 
 
 def _add_fingerprint_args(p: argparse.ArgumentParser) -> None:

@@ -106,9 +106,8 @@ def from_entry_rows(
     data: list[float] = []
     for entries in rows:
         for idx in sorted(entries):
-            if entries[idx] != 0:
-                indices.append(idx)
-                data.append(entries[idx])
+            indices.append(idx)
+            data.append(entries[idx])
         indptr.append(len(indices))
     m = CsrMatrix(
         rows=len(rows),
@@ -202,23 +201,30 @@ def _parse_line(
 ) -> np.ndarray:
     """The ``count`` values of 1-based line ``lineno`` as one int64 or
     float64 array.  ``name`` is the CSR line (indptr, indices, data), or
-    None for a dense row.  Fields are read by ``int()`` or ``float()``,
-    so ``+1`` and ``1_0`` are accepted; FormatError names the line."""
-    fields = lines[lineno - 1].split()
+    None for a dense row.  ASCII fields are read by ``int()`` or
+    ``float()``, so ``+1`` and ``1_0`` are accepted but a non-ASCII digit
+    such as ``١`` is not; FormatError names the line."""
+    line = lines[lineno - 1]
+    fields = line.split()
     if len(fields) != count:
         noun = f"{name} entries" if name else "values"
         raise FormatError(f"expected {count} {noun}, got {len(fields)}", lineno)
     parse, array_type, lo, hi = _FIELD_TYPES[kind]
-    try:
-        values = np.fromiter(map(parse, fields), array_type, count)
-        if lo is None or not count or (lo <= values.min() and values.max() <= hi):
-            return values
-    except (ValueError, OverflowError):
-        pass
+    # str.isascii() is O(1); the per-field test only runs on a line with
+    # non-ASCII characters, which split() may have taken as whitespace.
+    if line.isascii() or all(f.isascii() for f in fields):
+        try:
+            values = np.fromiter(map(parse, fields), array_type, count)
+            if lo is None or not count or (lo <= values.min() and values.max() <= hi):
+                return values
+        except (ValueError, OverflowError):
+            pass
     # A matrix value's message names its first bad field; an index
     # line is "bad integer" if any field is, else "outside int32".
     for f in fields:
         try:
+            if not f.isascii():
+                raise ValueError(f)
             value = parse(f)
         except ValueError:
             msg = f"bad integer in {name}" if kind == "i32" else f"bad {kind} value {f!r}"
@@ -244,6 +250,16 @@ def serialize(m: Matrix, sink: IO[str]) -> None:
         sink.write("\n")
 
 
+def _header_shape(fields: list[str]) -> list[int]:
+    """The header's ASCII integer shape fields; FormatError otherwise."""
+    try:
+        if all(f.isascii() for f in fields):
+            return [int(f) for f in fields]
+    except ValueError:
+        pass
+    raise FormatError("non-integer shape in header", 1)
+
+
 def deserialize(source: IO[str]) -> Matrix:
     """Parse a DENSEv1/CSRv1 stream; FormatError names the bad line."""
     lines = source.read().splitlines()
@@ -256,10 +272,7 @@ def deserialize(source: IO[str]) -> Matrix:
     if kind == "DENSEv1":
         if len(header) != 4:
             raise FormatError("DENSEv1 header needs rows, cols, dtype", 1)
-        try:
-            rows, cols = int(header[1]), int(header[2])
-        except ValueError:
-            raise FormatError("non-integer shape in header", 1) from None
+        rows, cols = _header_shape(header[1:3])
         dtype = header[3]
         if dtype not in _NUMPY_DTYPE:
             raise FormatError(f"unknown dtype {dtype!r}", 1)
@@ -274,10 +287,7 @@ def deserialize(source: IO[str]) -> Matrix:
     if kind == "CSRv1":
         if len(header) != 5:
             raise FormatError("CSRv1 header needs rows, cols, nnz, dtype", 1)
-        try:
-            rows, cols, nnz = int(header[1]), int(header[2]), int(header[3])
-        except ValueError:
-            raise FormatError("non-integer shape in header", 1) from None
+        rows, cols, nnz = _header_shape(header[1:4])
         dtype = header[4]
         if dtype not in _NUMPY_DTYPE:
             raise FormatError(f"unknown dtype {dtype!r}", 1)

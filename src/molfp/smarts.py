@@ -10,9 +10,10 @@ Matching enumerates injective homomorphisms (pattern bonds must exist
 and match in the target; extra target bonds are allowed) by an
 iterative depth-first search over candidate bitmasks, placing the most
 constrained query atoms first.  Atom and bond expressions are integer
-bitmasks over atoms or bonds (see MoleculeView); a pattern with more
-atoms than the molecule, or with an atom no target atom satisfies, is
-screened out before the search starts.
+bitmasks over atoms or bonds, read from a table of per-molecule facts
+filled in one pass (see MoleculeView); a pattern with more atoms than
+the molecule, or with an atom no target atom satisfies, is screened out
+before the search starts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .chem import (
     ORGANIC_AROMATIC,
     ORGANIC_ONE,
     ORGANIC_TWO,
-    BondOrder,
     Molecule,
     atomic_number,
 )
@@ -63,9 +63,11 @@ class MoleculeView:
     """One molecule's SMARTS expressions evaluated as integer bitmasks.
 
     Bit ``i`` of an atom mask is atom ``i``; bit ``b`` of a bond mask is
-    bond ``b``.  Masks of primitives are cached per ``(bond, kind,
-    value)``, so a primitive shared between patterns is evaluated once
-    per molecule; ``!``, ``&`` and ``,`` are recomputed on each call from
+    bond ``b``.  The constructor makes one pass over the atoms and one
+    over the bonds, recording every primitive each one satisfies as a
+    ``(kind, value)`` fact and ORing its bit into that fact's mask.  A
+    primitive's mask is the lookup of its fact, 0 when no atom or bond
+    has it; ``!``, ``&`` and ``,`` are recomputed on each call from
     their children's masks with ``~``, ``&`` and ``|``.  Callers matching
     many patterns against one molecule should reuse one view.
     """
@@ -74,17 +76,45 @@ class MoleculeView:
         self.mol = mol
         self.n = mol.n_atoms
         self.neighbors = mol.neighbors
-        self.masks: dict[tuple[bool, str, int], int] = {}
+        rings = mol.rings
+        atom_facts: dict[tuple[str, int | None], int] = {}
+        for i, atom in enumerate(mol.atoms):
+            facts = [
+                ("element", atom.element),
+                ("symbol_aromatic" if atom.aromatic else "symbol_aliphatic", atom.element),
+                ("aromatic" if atom.aromatic else "aliphatic", 0),
+                ("degree", atom.degree),
+                ("total_h", mol.total_h[i]),
+                ("connectivity", len(mol.neighbors[i]) + atom.implicit_h),
+                ("ring_count", rings.atom_ring_count[i]),
+                ("ring_size", rings.smallest_ring_size[i]),
+                ("charge", atom.charge),
+            ]
+            if rings.atom_in_ring[i]:
+                facts.append(("in_ring", 0))
+            bit = 1 << i
+            for fact in facts:
+                atom_facts[fact] = atom_facts.get(fact, 0) | bit
+        atom_facts["wildcard", 0] = (1 << self.n) - 1
+        # Bonds are tallied by order, and each order is named once:
+        # BondOrder.name is a slow property.
+        by_order: dict = {}
+        ring = 0
+        for b, (bond, in_ring) in enumerate(zip(mol.bonds, rings.bond_in_ring)):
+            by_order[bond.order] = by_order.get(bond.order, 0) | 1 << b
+            if in_ring:
+                ring |= 1 << b
+        bond_facts = {(order.name.lower(), 0): m for order, m in by_order.items()}
+        bond_facts["any", 0] = (1 << len(mol.bonds)) - 1
+        bond_facts["ring", 0] = ring
+        self.atom_facts = atom_facts
+        self.bond_facts = bond_facts
 
     def mask(self, expr, bond: bool = False) -> int:
         """Atoms (or, with ``bond``, bonds) that satisfy ``expr``."""
         if isinstance(expr, Prim):
-            key = (bond, expr.kind, expr.value)
-            m = self.masks.get(key)
-            if m is None:
-                flags = _bond_flags(self.mol, expr) if bond else _atom_flags(self.mol, expr)
-                m = self.masks[key] = sum(1 << i for i, flag in enumerate(flags) if flag)
-            return m
+            facts = self.bond_facts if bond else self.atom_facts
+            return facts.get((expr.kind, expr.value), 0)
         if isinstance(expr, Not):
             full = (1 << (len(self.mol.bonds) if bond else self.n)) - 1
             return full & ~self.mask(expr.arg, bond)
@@ -99,57 +129,6 @@ class MoleculeView:
                 m |= self.mask(arg, bond)
             return m
         raise AssertionError(f"bad expression {expr!r}")
-
-
-def _atom_flags(mol: Molecule, prim: Prim):
-    """Per-atom truth values of one atom primitive."""
-    kind, value = prim.kind, prim.value
-    atoms, rings = mol.atoms, mol.rings
-    if kind == "element":
-        return [a.element == value for a in atoms]
-    if kind == "symbol_aliphatic":
-        return [a.element == value and not a.aromatic for a in atoms]
-    if kind == "symbol_aromatic":
-        return [a.element == value and a.aromatic for a in atoms]
-    if kind == "aromatic":
-        return [a.aromatic for a in atoms]
-    if kind == "aliphatic":
-        return [not a.aromatic for a in atoms]
-    if kind == "wildcard":
-        return [True] * len(atoms)
-    if kind == "degree":
-        return [a.degree == value for a in atoms]
-    if kind == "total_h":
-        return [h == value for h in mol.total_h]
-    if kind == "connectivity":
-        return [len(nbrs) + a.implicit_h == value for a, nbrs in zip(atoms, mol.neighbors)]
-    if kind == "in_ring":
-        return rings.atom_in_ring
-    if kind == "ring_count":
-        return [c == value for c in rings.atom_ring_count]
-    if kind == "ring_size":
-        return [s == value for s in rings.smallest_ring_size]
-    if kind == "charge":
-        return [a.charge == value for a in atoms]
-    raise AssertionError(f"unknown atom primitive {kind}")
-
-
-_BOND_ORDERS = {
-    "single": BondOrder.SINGLE,
-    "double": BondOrder.DOUBLE,
-    "triple": BondOrder.TRIPLE,
-    "aromatic": BondOrder.AROMATIC,
-}
-
-
-def _bond_flags(mol: Molecule, prim: Prim):
-    """Per-bond truth values of one bond primitive."""
-    if prim.kind == "any":
-        return [True] * len(mol.bonds)
-    if prim.kind == "ring":
-        return mol.rings.bond_in_ring
-    order = _BOND_ORDERS[prim.kind]
-    return [b.order is order for b in mol.bonds]
 
 
 def _implies_aromatic(expr) -> bool:

@@ -16,7 +16,7 @@ from molfp import (
     sanitize,
     shortest_path_matrix,
 )
-from molfp.chem import Bond, BondOrder, MoleculeDraft
+from molfp.chem import AtomDraft, Bond, BondOrder, MoleculeDraft
 from molfp.smiles import parse_smiles
 
 from .oracles import (
@@ -105,6 +105,14 @@ def test_sanitize_rejects_malformed_draft():
     draft.bonds.append(Bond(0, 5, BondOrder.SINGLE))
     with pytest.raises(ValueError):
         sanitize(draft)
+    # A draft built with its bonds is checked as add_bond checks them.
+    carbons = [AtomDraft(6), AtomDraft(6)]
+    with pytest.raises(ValueError, match="duplicate bond between atoms 0 and 1"):
+        MoleculeDraft(atoms=carbons, bonds=[Bond(0, 1, BondOrder.SINGLE)] * 2)
+    with pytest.raises(ValueError, match="duplicate bond between atoms 1 and 0"):
+        MoleculeDraft(
+            atoms=carbons, bonds=[Bond(0, 1, BondOrder.SINGLE), Bond(1, 0, BondOrder.DOUBLE)]
+        )
 
 
 def test_empty_draft_gives_empty_molecule():

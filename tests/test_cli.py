@@ -215,10 +215,11 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc:
             main(["compute", str(smi_file), str(tmp_path / "o"), "--fingerprint", "bogus"])
         assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", str(smi_file), str(tmp_path / "o"), "--fingerprint", "ecfp",
-                  "--jobs", "0"])
-        assert exc.value.code == 2
+        for jobs in ("0", "١"):
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", str(smi_file), str(tmp_path / "o"), "--fingerprint", "ecfp",
+                      "--jobs", jobs])
+            assert exc.value.code == 2
 
     def test_substructure_and_descriptors(self, smi_file, tmp_path):
         for fam, cols in (("substructure", 48), ("descriptors", 10)):
@@ -233,7 +234,7 @@ class TestCompute:
         out = tmp_path / "out.mat"
         assert main(["compute", str(smi_file), str(out), "--fingerprint", "ecfp"]) == 0
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
+    @pytest.mark.parametrize("value", ["abc", "0", "١"])
     def test_invalid_env_jobs_is_usage_error(self, smi_file, tmp_path, monkeypatch, capsys, value):
         monkeypatch.setenv("MOLFP_JOBS", value)
         out = tmp_path / "out.mat"

@@ -286,6 +286,10 @@ class TestSerialization:
                 "u32 value out of range: 99999999999999999999",
             ),
             ("CSRv1 1 8 2 f64\n0 2\n1 3\n1e3 y\n", 4, "bad f64 value 'y'"),
+            # int() and float() would read these Arabic-Indic digits.
+            ("CSRv1 1 8 1 u8\n0 1\n١\n1\n", 3, "bad integer in indices"),
+            ("DENSEv1 1 2 f64\n١.٥ 2\n", 2, "bad f64 value '١.٥'"),
+            ("DENSEv1 ١ 2 u8\n1 2\n", 1, "non-integer shape in header"),
         ],
     )
     def test_rejected_value_names_line(self, text, line, message):

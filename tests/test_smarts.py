@@ -222,7 +222,14 @@ class TestOracleAgreement:
 class TestMasks:
     def test_masks_match_tree_walk(self):
         pats = [k.pattern for k in load_key_set(default_key_set_path())]
-        pats += [parse_smarts(p) for p in ("[!#6]", "[!R]", "C!@C", "C!-C", "*~*", "c:a")]
+        pats += [
+            parse_smarts(p)
+            for p in (
+                "[!#6]", "[!R]", "C!@C", "C!-C", "*~*", "c:a",
+                # Every primitive kind the parser emits, aliphatic and degree included.
+                "[D2]", "[A]", "[R0]", "[r]", "[se]", "[-]", "C#C", "C=C",
+            )
+        ]
         atom_exprs = dict.fromkeys(e for p in pats for e in p.atom_exprs)
         bond_exprs = dict.fromkeys(e for p in pats for e in p.bond_exprs)
         # "C" has one atom and no bonds: negated bond prims run over nothing.
