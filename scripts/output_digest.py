@@ -9,7 +9,10 @@ empty input; then one line over every ``match()`` result of the default
 SMARTS keys on the same corpus, mappings in discovery order; last, one
 line over every ``from_smiles`` outcome (the molecule's repr, or the
 error's type, message and position) on the corpus, the 47 large molecules
-of ``bench/molecules.py`` and a seeded set of mutated corpus SMILES.
+of ``bench/molecules.py`` and a seeded set of mutated corpus SMILES; then
+one line per ``molfp`` command run through ``cli.main`` in a temporary
+directory (see ``cli_lines``), over its exit code, stdout, stderr and the
+files it wrote.
 
 Usage (one source tree against another):
     PYTHONPATH=old/src python scripts/output_digest.py > old.txt
@@ -21,14 +24,18 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from molfp import (
     BatchOptions,
     FingerprintConfig,
     Fingerprinter,
+    cli,
     from_smiles,
     serialize,
     transform_batch,
@@ -128,6 +135,68 @@ def parse_digest(smiles: list[str]) -> str:
     return h.hexdigest()
 
 
+def cli_lines(smiles: list[str]):
+    """(digest, label) per ``cli.main`` invocation: compute at jobs 1 and 2
+    and canonical, each in raise and skip mode, over 200 corpus records
+    with the BAD records among them; search with a good and a bad query;
+    a missing input, an undecodable line, a bad key set and a bad
+    --jobs-list; gen-corpus.  The temporary directory's path is replaced
+    by a fixed token in stdout and stderr."""
+    os.environ["MOLFP_JOBS"] = "1"  # search takes its worker count from here
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        mixed, clean, undecodable, keys = (
+            root / name for name in ("mixed.smi", "clean.smi", "undecodable.smi", "bad.smarts")
+        )
+        texts = list(smiles[:100]) + list(BAD) + list(smiles[100:200])
+        mixed.write_text("".join(f"{smi} m{i}\n" for i, smi in enumerate(texts)))
+        clean.write_text("".join(f"{smi} c{i}\n" for i, smi in enumerate(smiles[:200])))
+        undecodable.write_bytes(b"CCO ok\n\xff\xfeCC bad\n")
+        keys.write_text("K1\t[#\u00b2]\tbad\n", encoding="utf-8")
+        ecfp = ("--fingerprint", "ecfp", "--output", "sparse")
+        commands = {
+            "compute jobs=1 raise": ("compute", mixed, "fps.mat", *ecfp, "--jobs", "1"),
+            "compute jobs=2 raise": ("compute", mixed, "fps.mat", *ecfp, "--jobs", "2"),
+            "compute jobs=1 skip": (
+                "compute", mixed, "fps.mat", *ecfp, "--jobs", "1", "--on-error", "skip"
+            ),
+            "compute jobs=2 skip": (
+                "compute", mixed, "fps.mat", *ecfp, "--jobs", "2", "--chunk-size", "7",
+                "--on-error", "skip",
+            ),
+            "canonical raise": ("canonical", mixed, "canon.smi"),
+            "canonical skip": ("canonical", mixed, "canon.smi", "--on-error", "skip"),
+            "search good query": ("search", "c1ccccc1O", clean, "--fingerprint", "path"),
+            "search bad query": ("search", BAD[0], clean, "--fingerprint", "ecfp"),
+            "missing input": ("compute", root / "absent.smi", "fps.mat", *ecfp),
+            "undecodable line": ("canonical", undecodable, "canon.smi"),
+            "bad key set": (
+                "compute", clean, "fps.mat", "--fingerprint", "substructure", "--key-set", keys
+            ),
+            "bad --jobs-list": ("benchmark", clean, "--fingerprint", "ecfp", "--jobs-list", "1,x"),
+            "gen-corpus": ("gen-corpus", "corpus.smi", "--count", "50", "--seed", "3"),
+        }
+        cwd = os.getcwd()
+        for k, (label, argv) in enumerate(commands.items()):
+            # Each command runs in a directory of its own, where it writes
+            # its output files.
+            out = root / f"out{k}"
+            out.mkdir()
+            os.chdir(out)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            try:
+                with redirect_stdout(stdout), redirect_stderr(stderr):
+                    code = cli.main([str(a) for a in argv])
+            finally:
+                os.chdir(cwd)
+            h = hashlib.sha256(f"{code}\n".encode())
+            for text in (stdout.getvalue(), stderr.getvalue()):
+                h.update(text.replace(tmp, "<tmp>").encode() + b"\0")
+            for path in sorted(out.iterdir()):
+                h.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+            yield h.hexdigest(), f"cli {label} exit={code}"
+
+
 def main() -> int:
     smiles = synthetic_smiles(2000, seed=13)
     for label, t in transformers():
@@ -152,6 +221,9 @@ def main() -> int:
     texts = list(smiles) + [to_smiles(g) for g in large_set(13, FULL_LADDER)]
     texts += mutated(smiles, 20000)
     print(f"{parse_digest(texts)}  from_smiles() of {len(texts)} texts", flush=True)
+
+    for line, label in cli_lines(smiles):
+        print(f"{line}  {label}", flush=True)
     return 0
 
 

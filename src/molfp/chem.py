@@ -110,20 +110,12 @@ class BondOrder(Enum):
     # way rather than through Enum's Python-level hash of the name.
     __hash__ = object.__hash__
 
-    @property
-    def valence(self) -> float:
-        """Contribution to an atom's bond-order sum (aromatic counts 1.5)."""
-        return 1.5 if self is BondOrder.AROMATIC else float(self.value)
-
 
 @dataclass(frozen=True)
 class Bond:
     i: int
     j: int
     order: BondOrder
-
-    def other(self, atom: int) -> int:
-        return self.j if atom == self.i else self.i
 
 
 # Frozen values built over and over are shared, one instance per
@@ -516,9 +508,15 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
     """
     drafts = draft.atoms
     n = len(drafts)
+    # Bonds appended to draft.bonds directly skip add_bond's checks.
+    pairs = set()
     for b in draft.bonds:
         if not (0 <= b.i < n and 0 <= b.j < n) or b.i == b.j:
             raise ValueError("draft bond endpoints invalid")
+        pair = (b.i, b.j) if b.i < b.j else (b.j, b.i)
+        if pair in pairs:
+            raise ValueError(f"duplicate bond between atoms {b.i} and {b.j}")
+        pairs.add(pair)
     rings = perceive_rings(n, draft.bonds)
 
     bonds = list(draft.bonds)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 data error (parse/valence/IO), 2 usage error
 (argparse).  The MOLFP_JOBS environment variable supplies the default
-worker count wherever a batch runs.
+worker count wherever a batch runs.  ``main`` reads the .smi input and
+maps every MolfpError to exit 1 with ``file:line`` from its record index;
+raise mode stops at the first bad record.  Integer options are ASCII.
 """
 
 from __future__ import annotations
@@ -14,23 +16,15 @@ import sys
 from dataclasses import dataclass
 
 from .engine import BatchOptions, Fingerprinter, benchmark, transform_batch
-from .errors import FormatError, MolfpError, as_record_error
+from .errors import FormatError, MolfpError, run_records
 from .corpus import synthetic_smiles
-from .fingerprints import FingerprintConfig
+from .fingerprints import FAMILY_ROWS, FingerprintConfig
 from .matrix import serialize
 from .similarity import bulk_top_k
 from .smiles import parse_smiles, write_canonical_smiles
 from .chem import sanitize
 
-_FAMILY_CHOICES = {
-    "ecfp": "ecfp",
-    "fcfp": "fcfp",
-    "atom-pair": "atom_pair",
-    "topological-torsion": "topological_torsion",
-    "path": "path",
-    "substructure": "substructure",
-    "descriptors": "descriptors",
-}
+_FAMILY_CHOICES = {family.replace("_", "-"): family for family in FAMILY_ROWS}
 
 
 @dataclass(frozen=True)
@@ -60,12 +54,21 @@ def read_smi(path: str) -> list[SmiRecord]:
     return records
 
 
+def _int_arg(value: str) -> int:
+    """An ASCII integer, else ValueError: int() alone also reads "١"."""
+    if not value.isascii():
+        raise ValueError(f"not an ASCII integer: {value!r}")
+    return int(value)
+
+
+_int_arg.__name__ = "int"  # argparse's usage error: "invalid int value: 'x'"
+
+
 def _jobs_arg(value: str):
     """A worker count: "auto" or a positive ASCII integer, else ValueError."""
     if value == "auto":
         return "auto"
-    # int() would also read non-ASCII digits such as "١".
-    jobs = int(value) if value.isascii() else 0
+    jobs = _int_arg(value)
     if jobs < 1:
         raise ValueError(f"not a positive worker count: {value!r}")
     return jobs
@@ -73,17 +76,17 @@ def _jobs_arg(value: str):
 
 def _add_fingerprint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fingerprint", required=True, choices=sorted(_FAMILY_CHOICES))
-    p.add_argument("--length", type=int, default=2048)
-    p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--min-path", type=int, default=1)
-    p.add_argument("--max-path", type=int, default=7)
-    p.add_argument("--distance-cap", type=int, default=30)
+    p.add_argument("--length", type=_int_arg, default=2048)
+    p.add_argument("--radius", type=_int_arg, default=2)
+    p.add_argument("--min-path", type=_int_arg, default=1)
+    p.add_argument("--max-path", type=_int_arg, default=7)
+    p.add_argument("--distance-cap", type=_int_arg, default=30)
     p.add_argument("--variant", choices=["binary", "count"], default="binary")
     p.add_argument("--key-set", default=None, help="substructure key file")
 
 
 def _build_fingerprinter(args, output: str = "dense") -> Fingerprinter:
-    config = FingerprintConfig(
+    return Fingerprinter(FingerprintConfig(
         family=_FAMILY_CHOICES[args.fingerprint],
         length=args.length,
         radius=args.radius,
@@ -93,8 +96,7 @@ def _build_fingerprinter(args, output: str = "dense") -> Fingerprinter:
         variant=args.variant,
         key_set_path=args.key_set,
         output=output,
-    )
-    return Fingerprinter(config)
+    ))
 
 
 def _fail(message: str) -> int:
@@ -111,113 +113,69 @@ def _failure_location(path: str, records: list[SmiRecord], exc: MolfpError) -> s
     return f"{path}: {exc}"
 
 
-def _write_errors_tsv(path: str, records: list[SmiRecord], failures) -> None:
-    with open(path, "w") as f:
-        f.write("index\tline\terror\n")
-        for idx, kind, message in failures:
-            f.write(f"{idx}\t{records[idx].line_number}\t{kind}: {message}\n")
+def _write_errors_tsv(args, records: list[SmiRecord], failures) -> None:
+    if args.on_error == "skip":
+        with open(f"{args.outfile}.errors.tsv", "w") as f:
+            f.write("index\tline\terror\n")
+            for idx, kind, message in failures:
+                f.write(f"{idx}\t{records[idx].line_number}\t{kind}: {message}\n")
 
 
-def cmd_compute(args) -> int:
-    records: list[SmiRecord] = []
+def cmd_compute(args, records: list[SmiRecord]) -> int:
+    fp = _build_fingerprinter(args, output=args.output)
+    opts = BatchOptions(jobs=args.jobs, chunk_size=args.chunk_size, error_mode=args.on_error)
+    matrix, report = transform_batch([r.smiles for r in records], fp, opts)
+    with open(args.outfile, "w") as f:
+        serialize(matrix, f)
+    _write_errors_tsv(args, records, report.failures)
+    return 0
+
+
+def cmd_canonical(args, records: list[SmiRecord]) -> int:
+    def canonical_line(rec: SmiRecord) -> str:
+        text = write_canonical_smiles(sanitize(parse_smiles(rec.smiles)))
+        return f"{text} {rec.name}" if rec.name else text
+
+    lines, failures = run_records(canonical_line, records, 0, args.on_error)
+    with open(args.outfile, "w") as f:
+        for line in lines:
+            f.write(line + "\n")
+    _write_errors_tsv(args, records, failures)
+    return 0
+
+
+def cmd_search(args, records: list[SmiRecord]) -> int:
+    fp = _build_fingerprinter(args, output="sparse")
+    query, failures = run_records(fp.transform_one, [args.query], 0, "skip")
+    if failures:
+        return _fail(f"query {args.query!r}: {failures[0][2]}")
+    opts = BatchOptions(jobs=args.jobs)
+    db, _ = transform_batch([r.smiles for r in records], fp, opts, output="sparse")
+    print("rank\tline\tname\tscore")
+    for rank, hit in enumerate(bulk_top_k(query[0], db, args.top_k, args.metric), start=1):
+        rec = records[hit.row]
+        print(f"{rank}\t{rec.line_number}\t{rec.name or ''}\t{hit.score:.6f}")
+    return 0
+
+
+def cmd_benchmark(args, records: list[SmiRecord]) -> int:
+    fp = _build_fingerprinter(args)
     try:
-        records = read_smi(args.input)
-        fp = _build_fingerprinter(args, output=args.output)
-        opts = BatchOptions(
-            jobs=args.jobs, chunk_size=args.chunk_size, error_mode=args.on_error
-        )
-        matrix, report = transform_batch([r.smiles for r in records], fp, opts)
-        with open(args.outfile, "w") as f:
-            serialize(matrix, f)
-        if args.on_error == "skip":
-            _write_errors_tsv(f"{args.outfile}.errors.tsv", records, report.failures)
-        return 0
-    except MolfpError as exc:
-        return _fail(_failure_location(args.input, records, exc))
-    except OSError as exc:
-        return _fail(str(exc))
-
-
-def cmd_canonical(args) -> int:
-    records: list[SmiRecord] = []
-    try:
-        records = read_smi(args.input)
-        lines = []
-        failures = []
-        for idx, rec in enumerate(records):
-            try:
-                text = write_canonical_smiles(sanitize(parse_smiles(rec.smiles)))
-            except Exception as exc:
-                exc = as_record_error(exc, idx)
-                if args.on_error == "raise":
-                    exc.record_index = idx
-                    raise exc
-                failures.append((idx, type(exc).__name__, str(exc)))
-                continue
-            lines.append(f"{text} {rec.name}" if rec.name else text)
-        with open(args.outfile, "w") as f:
-            for line in lines:
-                f.write(line + "\n")
-        if args.on_error == "skip":
-            _write_errors_tsv(f"{args.outfile}.errors.tsv", records, failures)
-        return 0
-    except MolfpError as exc:
-        return _fail(_failure_location(args.input, records, exc))
-    except OSError as exc:
-        return _fail(str(exc))
-
-
-def cmd_search(args) -> int:
-    records: list[SmiRecord] = []
-    try:
-        records = read_smi(args.database)
-        fp = _build_fingerprinter(args, output="sparse")
-        opts = BatchOptions(jobs=args.jobs)
-        db, _ = transform_batch([r.smiles for r in records], fp, opts, output="sparse")
-        hits = bulk_top_k(fp.transform_one(args.query), db, args.top_k, args.metric)
-        out = sys.stdout
-        out.write("rank\tline\tname\tscore\n")
-        for rank, hit in enumerate(hits, start=1):
-            rec = records[hit.row]
-            out.write(f"{rank}\t{rec.line_number}\t{rec.name or ''}\t{hit.score:.6f}\n")
-        return 0
-    except MolfpError as exc:
-        return _fail(_failure_location(args.database, records, exc))
-    except OSError as exc:
-        return _fail(str(exc))
-
-
-def cmd_benchmark(args) -> int:
-    records: list[SmiRecord] = []
-    try:
-        records = read_smi(args.input)
-        fp = _build_fingerprinter(args)
-        jobs_list = [int(x) for x in args.jobs_list.split(",") if x.strip()]
-        rows = benchmark(
-            [r.smiles for r in records], fp, jobs_list, repeats=args.repeats
-        )
-        out = sys.stdout
-        out.write("jobs\tmean_seconds\tspeedup\n")
-        for row in rows:
-            out.write(f"{row.jobs}\t{row.mean_seconds:.6f}\t{row.speedup:.3f}\n")
-        return 0
+        jobs_list = [_int_arg(x) for x in args.jobs_list.split(",") if x.strip()]
     except ValueError:
         return _fail(f"bad --jobs-list {args.jobs_list!r}")
-    except MolfpError as exc:
-        return _fail(_failure_location(args.input, records, exc))
-    except OSError as exc:
-        return _fail(str(exc))
+    rows = benchmark([r.smiles for r in records], fp, jobs_list, repeats=args.repeats)
+    print("jobs\tmean_seconds\tspeedup")
+    for row in rows:
+        print(f"{row.jobs}\t{row.mean_seconds:.6f}\t{row.speedup:.3f}")
+    return 0
 
 
-def cmd_gen_corpus(args) -> int:
-    try:
-        smiles = synthetic_smiles(args.count, args.seed)
-        with open(args.outfile, "w") as f:
-            for i, smi in enumerate(smiles):
-                f.write(f"{smi} synth-{i}\n")
-        return 0
-    except OSError as exc:
-        return _fail(str(exc))
+def cmd_gen_corpus(args, records: list[SmiRecord]) -> int:
+    with open(args.outfile, "w") as f:
+        for i, smi in enumerate(synthetic_smiles(args.count, args.seed)):
+            f.write(f"{smi} synth-{i}\n")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fingerprint_args(p)
     p.add_argument("--output", choices=["dense", "sparse"], default="dense")
     p.add_argument("--jobs", type=_jobs_arg, default=None)
-    p.add_argument("--chunk-size", type=int, default=None)
+    p.add_argument("--chunk-size", type=_int_arg, default=None)
     p.add_argument("--on-error", choices=["raise", "skip"], default="raise")
     p.set_defaults(func=cmd_compute)
 
@@ -242,23 +200,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="top-k similarity search in a .smi database")
     p.add_argument("query")
-    p.add_argument("database")
+    p.add_argument("input", metavar="database")
     _add_fingerprint_args(p)
     p.add_argument("--metric", choices=["tanimoto", "dice"], default="tanimoto")
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--top-k", type=_int_arg, default=10)
     p.set_defaults(func=cmd_search, jobs=None)
 
     p = sub.add_parser("benchmark", help="wall-clock speedup table")
     p.add_argument("input")
     _add_fingerprint_args(p)
     p.add_argument("--jobs-list", default="1,2,4")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_int_arg, default=3)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("gen-corpus", help="write a synthetic .smi corpus")
     p.add_argument("outfile")
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_int_arg, default=1000)
+    p.add_argument("--seed", type=_int_arg, default=0)
     p.set_defaults(func=cmd_gen_corpus)
 
     return parser
@@ -281,7 +239,16 @@ def main(argv=None) -> int:
             message = f"MOLFP_JOBS must be a positive integer or 'auto', got {env!r}"
             print(f"error: {message}", file=sys.stderr)
             return 2
-    return args.func(args)
+    path = getattr(args, "input", None)
+    records: list[SmiRecord] = []
+    try:
+        if path is not None:
+            records = read_smi(path)
+        return args.func(args, records)
+    except MolfpError as exc:
+        return _fail(_failure_location(path, records, exc))
+    except OSError as exc:
+        return _fail(str(exc))
 
 
 def run() -> None:

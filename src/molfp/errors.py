@@ -1,4 +1,5 @@
-"""Exception hierarchy for the molfp package."""
+"""Exception hierarchy for the molfp package, and ``run_records``, the one
+per-record loop: its "raise" mode stops at the first bad record."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ class ParseError(MolfpError):
         return f"{self.message} (at position {self.position})"
 
     def __reduce__(self):
-        return type(self), (self.message, self.position)
+        return type(self), (self.message, self.position), self.__dict__
 
 
 class SmilesSyntaxError(ParseError):
@@ -86,7 +87,7 @@ class FormatError(MolfpError):
         return f"line {self.line}: {self.message}"
 
     def __reduce__(self):
-        return type(self), (self.message, self.line)
+        return type(self), (self.message, self.line), self.__dict__
 
 
 class RingClosureOverflowError(MolfpError):
@@ -98,12 +99,23 @@ class RecordError(MolfpError):
     names the original type, ``record_index`` the record."""
 
 
-def as_record_error(exc: Exception, record_index: int) -> MolfpError:
-    """``exc`` itself when it is a MolfpError, else a RecordError that
-    wraps it."""
-    if isinstance(exc, MolfpError):
-        return exc
-    wrapped = RecordError(f"{type(exc).__name__}: {exc}")
-    wrapped.record_index = record_index
-    wrapped.__cause__ = exc
-    return wrapped
+def run_records(fn, records, start: int, error_mode: str):
+    """``fn`` over each record: (outputs, failures).  A failing record's
+    error, wrapped in a RecordError when outside MolfpError, gets
+    ``record_index`` ``start`` + offset; "raise" mode raises the first,
+    "skip" mode lists each as (index, error kind, message)."""
+    outputs = []
+    failures = []
+    for index, record in enumerate(records, start):
+        try:
+            outputs.append(fn(record))
+        except Exception as exc:
+            if not isinstance(exc, MolfpError):
+                wrapped = RecordError(f"{type(exc).__name__}: {exc}")
+                wrapped.__cause__ = exc
+                exc = wrapped
+            exc.record_index = index
+            if error_mode == "raise":
+                raise exc
+            failures.append((index, type(exc).__name__, str(exc)))
+    return outputs, failures

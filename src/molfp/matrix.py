@@ -11,6 +11,7 @@ floats are written with repr (shortest round-trip form).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping
 
@@ -196,6 +197,15 @@ _FIELD_TYPES = {
 }
 
 
+# The text formats are ASCII: fields are separated by ASCII whitespace
+# only, the characters str.split() splits an ASCII line at.
+_FIELD = re.compile(r"[^\t-\r\x1c- ]+")
+
+
+def _fields(line: str) -> list[str]:
+    return line.split() if line.isascii() else _FIELD.findall(line)
+
+
 def _parse_line(
     lines: list[str], lineno: int, count: int, name: str | None, kind: str
 ) -> np.ndarray:
@@ -205,13 +215,13 @@ def _parse_line(
     ``float()``, so ``+1`` and ``1_0`` are accepted but a non-ASCII digit
     such as ``١`` is not; FormatError names the line."""
     line = lines[lineno - 1]
-    fields = line.split()
+    fields = _fields(line)
     if len(fields) != count:
         noun = f"{name} entries" if name else "values"
         raise FormatError(f"expected {count} {noun}, got {len(fields)}", lineno)
     parse, array_type, lo, hi = _FIELD_TYPES[kind]
     # str.isascii() is O(1); the per-field test only runs on a line with
-    # non-ASCII characters, which split() may have taken as whitespace.
+    # non-ASCII characters.
     if line.isascii() or all(f.isascii() for f in fields):
         try:
             values = np.fromiter(map(parse, fields), array_type, count)
@@ -265,7 +275,7 @@ def deserialize(source: IO[str]) -> Matrix:
     lines = source.read().splitlines()
     if not lines:
         raise FormatError("empty input", 1)
-    header = lines[0].split()
+    header = _fields(lines[0])
     if not header:
         raise FormatError("blank header", 1)
     kind = header[0]
@@ -278,7 +288,7 @@ def deserialize(source: IO[str]) -> Matrix:
             raise FormatError(f"unknown dtype {dtype!r}", 1)
         if len(lines) - 1 < rows:
             raise FormatError(f"expected {rows} rows, file has {len(lines) - 1}", len(lines))
-        if len(lines) - 1 > rows and any(line.strip() for line in lines[rows + 1 :]):
+        if len(lines) - 1 > rows and any(map(_fields, lines[rows + 1 :])):
             raise FormatError("trailing content after matrix rows", rows + 2)
         values = np.zeros((rows, cols), dtype=_NUMPY_DTYPE[dtype])
         for r in range(rows):
@@ -297,7 +307,7 @@ def deserialize(source: IO[str]) -> Matrix:
         indptr = _parse_line(lines, 2, rows + 1, "indptr", "i32")
         indices = _parse_line(lines, 3, nnz, "indices", "i32")
         data = _parse_line(lines, 4, nnz, "data", dtype)
-        if any(line.strip() for line in lines[4:]):
+        if any(map(_fields, lines[4:])):
             raise FormatError("trailing content after CSR data", 5)
         try:
             return CsrMatrix(

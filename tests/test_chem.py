@@ -113,6 +113,11 @@ def test_sanitize_rejects_malformed_draft():
         MoleculeDraft(
             atoms=carbons, bonds=[Bond(0, 1, BondOrder.SINGLE), Bond(1, 0, BondOrder.DOUBLE)]
         )
+    # Bonds appended to the list directly are checked by sanitize.
+    draft = MoleculeDraft(atoms=[AtomDraft(6), AtomDraft(6)])
+    draft.bonds += [Bond(0, 1, BondOrder.SINGLE)] * 2
+    with pytest.raises(ValueError, match="duplicate bond between atoms 0 and 1"):
+        sanitize(draft)
 
 
 def test_empty_draft_gives_empty_molecule():

@@ -220,6 +220,16 @@ class TestCompute:
                 main(["compute", str(smi_file), str(tmp_path / "o"), "--fingerprint", "ecfp",
                       "--jobs", jobs])
             assert exc.value.code == 2
+        # int() would read these Arabic-Indic digits as 16 and 1.
+        for argv in (
+            ["compute", str(smi_file), str(tmp_path / "o"), "--fingerprint", "ecfp",
+             "--length", "١٦"],
+            ["search", "CCO", str(smi_file), "--fingerprint", "ecfp", "--top-k", "١"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_substructure_and_descriptors(self, smi_file, tmp_path):
         for fam, cols in (("substructure", 48), ("descriptors", 10)):
@@ -419,10 +429,13 @@ class TestSearch:
             assert int(lineno) == records[hit.row].line_number
             assert float(score) == pytest.approx(hit.score, abs=5e-7)
 
-    def test_bad_query_exits_1(self, smi_file):
+    def test_bad_query_exits_1(self, smi_file, capsys):
         assert (
             main(["search", "C1CC", str(smi_file), "--fingerprint", "ecfp"]) == 1
         )
+        err = capsys.readouterr().err
+        assert err == "error: query 'C1CC': ring closure 1 never matched (at position 1)\n"
+        assert str(smi_file) not in err
 
 
 class TestBenchmarkCmd:
@@ -463,19 +476,20 @@ class TestBenchmarkCmd:
         assert [int(l.split("\t")[0]) for l in lines] == [1, 2, 3]
 
     def test_bad_jobs_list(self, smi_file):
-        assert (
-            main(
-                [
-                    "benchmark",
-                    str(smi_file),
-                    "--fingerprint",
-                    "ecfp",
-                    "--jobs-list",
-                    "1,x",
-                ]
+        for jobs_list in ("1,x", "١"):
+            assert (
+                main(
+                    [
+                        "benchmark",
+                        str(smi_file),
+                        "--fingerprint",
+                        "ecfp",
+                        "--jobs-list",
+                        jobs_list,
+                    ]
+                )
+                == 1
             )
-            == 1
-        )
 
 
 class TestGenCorpus:

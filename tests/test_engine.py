@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from molfp import (
     ConfigError,
     FingerprintConfig,
     Fingerprinter,
+    FormatError,
     RecordError,
     SmilesParser,
+    UnclosedRingError,
     ValenceError,
     benchmark,
     descriptors,
@@ -123,6 +126,29 @@ class TestTransformBatch:
         assert report.failures == ((2, "RecordError", "RuntimeError: transformer bug"),)
         expected, _ = transform_batch(["CCO", "CC", "c1ccccc1"], ecfp_t(length=64), BatchOptions())
         assert np.array_equal(mat.values, expected.values)
+
+    def test_parse_error_index_survives_the_pool(self):
+        smis = ["CCO", "CC", "CCN", "C1CC"]
+        with pytest.raises(UnclosedRingError) as exc:
+            transform_batch(smis, ecfp_t(), BatchOptions(jobs=2))
+        assert exc.value.record_index == 3 and exc.value.position == 1
+        for error in (UnclosedRingError("ring closure 1 never matched", 1), FormatError("x", 4)):
+            error.record_index = 7
+            clone = pickle.loads(pickle.dumps(error))
+            assert (str(clone), clone.record_index) == (str(error), 7)
+
+    def test_raise_stops_at_first_bad_record(self):
+        seen = []
+
+        class Recording(Fingerprinter):
+            def transform_one(self, record):
+                seen.append(record)
+                return super().transform_one(record)
+
+        fp = Recording(FingerprintConfig(family="ecfp", length=64))
+        with pytest.raises(ValenceError):
+            transform_batch(["CC", "[H]=[H]", "CCO", "CCN"], fp, BatchOptions(chunk_size=2))
+        assert seen == ["CC", "[H]=[H]"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unexpected_exception_raised(self, jobs):

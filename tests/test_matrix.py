@@ -290,6 +290,11 @@ class TestSerialization:
             ("CSRv1 1 8 1 u8\n0 1\n١\n1\n", 3, "bad integer in indices"),
             ("DENSEv1 1 2 f64\n١.٥ 2\n", 2, "bad f64 value '١.٥'"),
             ("DENSEv1 ١ 2 u8\n1 2\n", 1, "non-integer shape in header"),
+            # Fields are split at ASCII whitespace only, not at U+3000.
+            ("DENSEv1 1 2 u8\n1\u30002\n", 2, "expected 2 values, got 1"),
+            ("CSRv1 1 4 2 u8\n0 2\n0\u30003\n1 1\n", 3, "expected 2 indices entries, got 1"),
+            ("DENSEv1\u30001 2 u8\n1 2\n", 1, "unknown format 'DENSEv1\\u30001'"),
+            ("DENSEv1 1 2 u8\n1 2\n\u3000\n", 3, "trailing content after matrix rows"),
         ],
     )
     def test_rejected_value_names_line(self, text, line, message):
