@@ -5,14 +5,16 @@ Covers the seven families x binary/count x dense/sparse and three unions
 (two of them with descriptors), each at jobs 1 and 2, over
 ``synthetic_smiles(2000, seed=13)``; then skip-mode runs at jobs 2 with
 chunk_size 7, where failing records fill one chunk entirely, and an
-empty input; then one line over every ``match()`` result of the default
-SMARTS keys on the same corpus, mappings in discovery order; last, one
-line over every ``from_smiles`` outcome (the molecule's repr, or the
-error's type, message and position) on the corpus, the 47 large molecules
-of ``bench/molecules.py`` and a seeded set of mutated corpus SMILES; then
-one line per ``molfp`` command run through ``cli.main`` in a temporary
-directory (see ``cli_lines``), over its exit code, stdout, stderr and the
-files it wrote.
+empty input; then one union at the default output form, and ``from_rows``
+of the corpus ecfp rows, dense and sparse; then one line over every
+``match()`` result of the default SMARTS keys on the same corpus,
+mappings in discovery order; then one line over every ``from_smiles``
+outcome (the molecule's repr, or the error's type, message and position)
+on the corpus, the 47 large molecules of ``bench/molecules.py`` and a
+seeded set of mutated corpus SMILES; last, one line per ``molfp``
+command run through ``cli.main`` in a temporary directory (see
+``cli_lines``), over its exit code, stdout, stderr and the files it
+wrote.
 
 Usage (one source tree against another):
     PYTHONPATH=old/src python scripts/output_digest.py > old.txt
@@ -36,6 +38,7 @@ from molfp import (
     FingerprintConfig,
     Fingerprinter,
     cli,
+    from_rows,
     from_smiles,
     serialize,
     transform_batch,
@@ -214,6 +217,13 @@ def main() -> int:
             print(f"{digest(matrix)}  {label} skip n_ok={report.n_ok} {output}", flush=True)
             matrix, _ = transform_batch([], t, skip, output=output)
             print(f"{digest(matrix)}  {label} empty {output}", flush=True)
+
+    u = union([fingerprinter("ecfp", length=1024), fingerprinter("substructure")])
+    matrix, _ = transform_batch(smiles, u, BatchOptions())
+    print(f"{digest(matrix)}  union ecfp+substructure default output", flush=True)
+    rows = [fingerprinter("ecfp").transform_one(smi) for smi in smiles]
+    for output in ("dense", "sparse"):
+        print(f"{digest(from_rows(rows, output))}  from_rows ecfp {output}", flush=True)
 
     keys = load_key_set(default_key_set_path())
     print(f"{match_digest(smiles, keys)}  match() of {len(keys)} default keys", flush=True)

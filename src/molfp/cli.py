@@ -85,7 +85,7 @@ def _add_fingerprint_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--key-set", default=None, help="substructure key file")
 
 
-def _build_fingerprinter(args, output: str = "dense") -> Fingerprinter:
+def _build_fingerprinter(args) -> Fingerprinter:
     return Fingerprinter(FingerprintConfig(
         family=_FAMILY_CHOICES[args.fingerprint],
         length=args.length,
@@ -95,7 +95,6 @@ def _build_fingerprinter(args, output: str = "dense") -> Fingerprinter:
         distance_cap=args.distance_cap,
         variant=args.variant,
         key_set_path=args.key_set,
-        output=output,
     ))
 
 
@@ -122,9 +121,9 @@ def _write_errors_tsv(args, records: list[SmiRecord], failures) -> None:
 
 
 def cmd_compute(args, records: list[SmiRecord]) -> int:
-    fp = _build_fingerprinter(args, output=args.output)
+    fp = _build_fingerprinter(args)
     opts = BatchOptions(jobs=args.jobs, chunk_size=args.chunk_size, error_mode=args.on_error)
-    matrix, report = transform_batch([r.smiles for r in records], fp, opts)
+    matrix, report = transform_batch([r.smiles for r in records], fp, opts, output=args.output)
     with open(args.outfile, "w") as f:
         serialize(matrix, f)
     _write_errors_tsv(args, records, report.failures)
@@ -145,7 +144,7 @@ def cmd_canonical(args, records: list[SmiRecord]) -> int:
 
 
 def cmd_search(args, records: list[SmiRecord]) -> int:
-    fp = _build_fingerprinter(args, output="sparse")
+    fp = _build_fingerprinter(args)
     query, failures = run_records(fp.transform_one, [args.query], 0, "skip")
     if failures:
         return _fail(f"query {args.query!r}: {failures[0][2]}")

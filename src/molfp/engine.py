@@ -2,9 +2,10 @@
 
 The engine owns all parallelism: inputs are split into contiguous
 chunks (by default one per worker), scattered to a process pool, and
-the per-chunk row blocks are concatenated in input order.  Workers
+the per-chunk CSR row blocks are concatenated in input order.  Workers
 share nothing mutable, so results are byte-identical to a sequential
-run regardless of the worker count.
+run regardless of the worker count.  ``transform_batch``'s ``output``
+alone chooses the matrix form: the stacked CSR matrix or its dense copy.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .fingerprints import (
     VARIANT_DTYPES,
     FingerprintConfig,
     FingerprintVector,
+    resolve_keys,
 )
 from .matrix import Matrix, from_entry_rows, to_dense, vstack
-from .smarts import SmartsKey, default_key_set_path, load_key_set
+from .smarts import SmartsKey
 from .smiles import parse_smiles
 
 
@@ -46,8 +48,8 @@ class Fingerprinter:
     Accepts raw SMILES records as well, converting internally, so it can
     be used standalone on string sequences.  The config is validated
     and substructure key sets are loaded and parsed at construction: a
-    bad config or key file fails here, never mid-batch.  The family's
-    row function is looked up in FAMILY_ROWS on each call.
+    bad config, key file or empty key set fails here, never mid-batch.
+    The family's row function is looked up in FAMILY_ROWS on each call.
     Descriptors come out as a "real" vector without their exact zeros.
     """
 
@@ -57,12 +59,7 @@ class Fingerprinter:
     def __init__(self, config: FingerprintConfig, keys: tuple[SmartsKey, ...] | None = None):
         config.validate()
         self.config = config
-        if config.family == "substructure":
-            self.keys = keys if keys is not None else load_key_set(
-                config.key_set_path or default_key_set_path()
-            )
-        else:
-            self.keys = None
+        self.keys = resolve_keys(config, keys)
 
     @property
     def n_cols(self) -> int:
@@ -75,10 +72,6 @@ class Fingerprinter:
     @property
     def variant(self) -> str:
         return "real" if self.config.family == "descriptors" else self.config.variant
-
-    @property
-    def output_form(self) -> str:
-        return self.config.output
 
     def transform_one(self, record) -> FingerprintVector:
         if isinstance(record, str):
@@ -108,10 +101,6 @@ class Pipeline:
     def variant(self) -> str:
         return self.stages[-1].variant
 
-    @property
-    def output_form(self) -> str:
-        return self.stages[-1].output_form
-
     def transform_one(self, record):
         for stage in self.stages:
             record = stage.transform_one(record)
@@ -132,10 +121,6 @@ class Union:
     @property
     def input_kind(self) -> str:
         return self.branches[0].input_kind
-
-    @property
-    def output_form(self) -> str:
-        return "sparse" if all(b.output_form == "sparse" for b in self.branches) else "dense"
 
     def transform_one(self, record) -> FingerprintVector:
         entries: dict[int, float] = {}
@@ -233,7 +218,7 @@ def _run_chunk(transformer, records, start: int, error_mode: str):
     # freeing its vector at once fragments the heap (peak RSS rose by
     # 0.9 MB over the seven families on 600 molecules).
     dtype = VARIANT_DTYPES[transformer.variant]
-    block = from_entry_rows((r.entries for r in rows), transformer.n_cols, dtype, "sparse")
+    block = from_entry_rows((r.entries for r in rows), transformer.n_cols, dtype)
     return block, failures
 
 
@@ -241,18 +226,21 @@ def transform_batch(
     inputs,
     transformer,
     opts: BatchOptions = BatchOptions(),
-    output: str | None = None,
+    output: str = "dense",
 ) -> tuple[Matrix, BatchReport]:
     """Run a transformer over a record sequence with chunked workers.
 
-    Output rows keep input order and are byte-identical to a jobs=1 run.
-    error_mode "raise" stops at the first bad record and raises its
-    error, whose ``record_index`` names it; "skip" drops failed rows and
-    lists them in the report.  Chunks are collected in input order, so
-    the first failing chunk's failure is the one with the smallest index.
+    Output rows keep input order and are byte-identical to a jobs=1 run;
+    ``output`` is "dense" or "sparse" (CSR).  error_mode "raise" stops at
+    the first bad record and raises its error, whose ``record_index``
+    names it, and cancels the chunks still queued; "skip" drops failed
+    rows and lists them in the report.  Chunks are collected in input
+    order, so the first failing chunk's failure has the smallest index.
     """
     if transformer.output_kind != "vector":
         raise CompositionError("batch output requires a vector-producing transformer")
+    if output not in ("dense", "sparse"):
+        raise ConfigError(f"unknown output form {output!r}")
     opts.validate()
     inputs = list(inputs)
     jobs = opts.resolved_jobs()
@@ -267,13 +255,17 @@ def transform_batch(
                 pool.submit(_run_chunk, transformer, inputs[s:e], s, opts.error_mode)
                 for s, e in spans
             ]
-            results = [f.result() for f in futures]
+            try:
+                results = [f.result() for f in futures]
+            except BaseException:
+                # Leaving the block would wait for every queued chunk.
+                pool.shutdown(cancel_futures=True)
+                raise
 
     mat = vstack([block for block, _ in results])
     failures = tuple(f for _, chunk_failures in results for f in chunk_failures)
-    form = output if output is not None else transformer.output_form
     report = BatchReport(n_input=len(inputs), n_ok=mat.rows, failures=failures)
-    return (to_dense(mat) if form == "dense" else mat), report
+    return (to_dense(mat) if output == "dense" else mat), report
 
 
 @dataclass(frozen=True)

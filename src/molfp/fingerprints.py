@@ -72,9 +72,6 @@ class FingerprintVector:
             return self
         return FingerprintVector(self.length, "binary", {i: 1 for i in self.entries})
 
-    def nonzero(self) -> list[int]:
-        return sorted(self.entries)
-
 
 @dataclass(frozen=True)
 class FingerprintConfig:
@@ -92,7 +89,6 @@ class FingerprintConfig:
     distance_cap: int = 30
     variant: str = "binary"
     key_set_path: str | None = None
-    output: str = "dense"
 
     def validate(self) -> None:
         if self.family not in FAMILY_ROWS:
@@ -107,8 +103,6 @@ class FingerprintConfig:
             raise ConfigError("need 1 <= distance_cap <= 30")
         if self.variant not in ("binary", "count"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.output not in ("dense", "sparse"):
-            raise ConfigError(f"unknown output form {self.output!r}")
 
 
 def _from_counts(counts: dict[int, int], length: int, variant: str) -> FingerprintVector:
@@ -410,18 +404,29 @@ FAMILY_ROWS = {
 }
 
 
+def resolve_keys(
+    cfg: FingerprintConfig, keys: tuple[SmartsKey, ...] | None = None
+) -> tuple[SmartsKey, ...] | None:
+    """A substructure config's keys: ``keys``, else its key file; None
+    for any other family.  An empty key set raises ConfigError."""
+    if cfg.family != "substructure":
+        return None
+    if keys is None:
+        keys = load_key_set(cfg.key_set_path or default_key_set_path())
+    if not keys:
+        raise ConfigError("substructure fingerprint needs a non-empty key set")
+    return keys
+
+
 def compute(
     mol: Molecule, cfg: FingerprintConfig, keys: tuple[SmartsKey, ...] | None = None
 ) -> FingerprintVector | tuple[float, ...]:
     """Validate the config, then compute its family.
 
-    Substructure configs need compiled keys; they are loaded from the
-    configured path when not supplied.  Descriptors return the raw
-    real-valued tuple rather than a sparse vector.
+    Substructure keys come from ``resolve_keys``.  Descriptors return the
+    raw real-valued tuple rather than a sparse vector.
     """
     cfg.validate()
     if cfg.family == "descriptors":
         return descriptors(mol)
-    if cfg.family == "substructure" and keys is None:
-        keys = load_key_set(cfg.key_set_path or default_key_set_path())
-    return FAMILY_ROWS[cfg.family](mol, cfg, keys)
+    return FAMILY_ROWS[cfg.family](mol, cfg, resolve_keys(cfg, keys))

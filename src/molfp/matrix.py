@@ -21,7 +21,6 @@ from .errors import FormatError, ShapeError
 from .fingerprints import VARIANT_DTYPES
 
 _NUMPY_DTYPE = {"u8": np.uint8, "u32": np.uint32, "f64": np.float64}
-_ELEMENT_SIZE = {"u8": 1, "u32": 4, "f64": 8}
 _INDEX_BYTES = 4  # fixed CSR index width
 # Values joined per write: a CSR line holds every entry of the matrix,
 # and joining it whole would hold a string per entry at once.
@@ -96,11 +95,8 @@ class CsrMatrix:
 Matrix = DenseMatrix | CsrMatrix
 
 
-def from_entry_rows(
-    rows: Iterable[Mapping[int, float]], cols: int, dtype: str, output: str = "dense"
-) -> Matrix:
-    """Build a matrix from sparse row mappings (index -> nonzero value);
-    dense output is the CSR matrix expanded by ``to_dense``."""
+def from_entry_rows(rows: Iterable[Mapping[int, float]], cols: int, dtype: str) -> CsrMatrix:
+    """Build a CSR matrix from sparse row mappings (index -> nonzero value)."""
     rows = list(rows)
     indptr = [0]
     indices: list[int] = []
@@ -110,7 +106,7 @@ def from_entry_rows(
             indices.append(idx)
             data.append(entries[idx])
         indptr.append(len(indices))
-    m = CsrMatrix(
+    return CsrMatrix(
         rows=len(rows),
         cols=cols,
         dtype=dtype,
@@ -118,7 +114,6 @@ def from_entry_rows(
         indices=np.array(indices, dtype=np.int32),
         data=np.array(data, dtype=_NUMPY_DTYPE[dtype]),
     )
-    return to_dense(m) if output == "dense" else m
 
 
 def vstack(blocks: list[CsrMatrix]) -> CsrMatrix:
@@ -145,20 +140,19 @@ def from_rows(vectors: list, output: str = "dense", cols: int | None = None) -> 
     """Stack fingerprint vectors as matrix rows, preserving order.
 
     All vectors must share length and variant (ShapeError otherwise).
-    ``cols`` is only consulted for an empty list.
+    ``cols`` is only consulted for an empty list, whose dtype is u8.
     """
     if output not in ("dense", "sparse"):
         raise ShapeError(f"unknown output form {output!r}")
-    if not vectors:
-        return from_entry_rows([], cols if cols is not None else 0, "u8", output)
-    length = vectors[0].length
-    variant = vectors[0].variant
+    length = vectors[0].length if vectors else cols or 0
+    variant = vectors[0].variant if vectors else "binary"
     for v in vectors:
         if v.length != length:
             raise ShapeError(f"mixed vector lengths: {v.length} vs {length}")
         if v.variant != variant:
             raise ShapeError(f"mixed vector variants: {v.variant} vs {variant}")
-    return from_entry_rows((v.entries for v in vectors), length, VARIANT_DTYPES[variant], output)
+    m = from_entry_rows((v.entries for v in vectors), length, VARIANT_DTYPES[variant])
+    return to_dense(m) if output == "dense" else m
 
 
 def to_csr(m: DenseMatrix) -> CsrMatrix:
@@ -182,7 +176,7 @@ def to_dense(c: CsrMatrix) -> DenseMatrix:
 def memory_footprint(m: Matrix) -> int:
     """Payload bytes: rows*cols*esize for dense; data + 4-byte indices
     and indptr for CSR."""
-    esize = _ELEMENT_SIZE[m.dtype]
+    esize = np.dtype(_NUMPY_DTYPE[m.dtype]).itemsize
     if isinstance(m, DenseMatrix):
         return m.rows * m.cols * esize
     return m.nnz * esize + m.nnz * _INDEX_BYTES + (m.rows + 1) * _INDEX_BYTES

@@ -420,7 +420,7 @@ class TestSearch:
         out_lines = capsys.readouterr().out.splitlines()[1:]
 
         records = read_smi(smi_file)
-        fp = Fingerprinter(FingerprintConfig(family="path", output="sparse"))
+        fp = Fingerprinter(FingerprintConfig(family="path"))
         db, _ = transform_batch([r.smiles for r in records], fp, BatchOptions(), output="sparse")
         query = fp.transform_one("c1ccccc1O")
         hits = bulk_top_k(query, db, 3, "dice")

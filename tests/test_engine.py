@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from molfp import (
     Fingerprinter,
     FormatError,
     RecordError,
+    ShapeError,
     SmilesParser,
     UnclosedRingError,
     ValenceError,
     benchmark,
     descriptors,
+    from_rows,
     from_smiles,
     pipeline,
     serialize,
@@ -51,6 +54,21 @@ class FailsOn(Fingerprinter):
     def transform_one(self, record):
         if record == self.bad:
             raise RuntimeError("transformer bug")
+        return super().transform_one(record)
+
+
+class SlowLogging(Fingerprinter):
+    """ecfp that appends each record to a log file, then sleeps 20 ms
+    (module level, so workers can unpickle it)."""
+
+    def __init__(self, log):
+        super().__init__(FingerprintConfig(family="ecfp", length=64))
+        self.log = log
+
+    def transform_one(self, record):
+        with open(self.log, "a") as f:
+            f.write(f"{record}\n")
+        time.sleep(0.02)
         return super().transform_one(record)
 
 
@@ -175,17 +193,26 @@ class TestTransformBatch:
 
         assert np.array_equal(to_dense(sparse).values, dense.values)
 
-    def test_transformer_output_preference(self, corpus1000):
-        from molfp import CsrMatrix
+    def test_unknown_output_form_rejected(self):
+        fp = ecfp_t(length=64)
+        with pytest.raises(ConfigError, match="unknown output form 'csr'"):
+            transform_batch(["CCO"], fp, BatchOptions(), output="csr")
+        with pytest.raises(ShapeError, match="unknown output form 'csr'"):
+            from_rows([fp.transform_one("CCO")], "csr")
+        with pytest.raises(TypeError):
+            FingerprintConfig(family="ecfp", output="sparse")
 
-        fp = Fingerprinter(
-            FingerprintConfig(family="ecfp", length=64, output="sparse")
-        )
-        mat, _ = transform_batch(corpus1000[:5], fp, BatchOptions())
-        assert isinstance(mat, CsrMatrix)
-        u = union([fp, fp])
-        umat, _ = transform_batch(corpus1000[:5], u, BatchOptions())
-        assert isinstance(umat, CsrMatrix)  # all branches prefer sparse
+    def test_raise_cancels_queued_chunks(self, tmp_path):
+        log = tmp_path / "seen.txt"
+        smis = ["C1CC"] + ["CCO"] * 79
+        with pytest.raises(UnclosedRingError) as exc:
+            transform_batch(smis, SlowLogging(log), BatchOptions(jobs=2, chunk_size=1))
+        assert exc.value.record_index == 0
+        assert len(log.read_text().splitlines()) < len(smis) // 2
+
+    def test_empty_key_set_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="non-empty key set"):
+            Fingerprinter(FingerprintConfig(family="substructure"), keys=())
 
     def test_descriptor_rows_are_f64(self):
         fp = Fingerprinter(FingerprintConfig(family="descriptors"))
