@@ -8,10 +8,13 @@ chunk_size 7, where failing records fill one chunk entirely, and an
 empty input; then one union at the default output form, and ``from_rows``
 of the corpus ecfp rows, dense and sparse; then one line over every
 ``match()`` result of the default SMARTS keys on the same corpus,
-mappings in discovery order; then one line over every ``from_smiles``
-outcome (the molecule's repr, or the error's type, message and position)
-on the corpus, the 47 large molecules of ``bench/molecules.py`` and a
-seeded set of mutated corpus SMILES; last, one line per ``molfp``
+mappings in discovery order; then one line over every ``parse_smarts``
+outcome (the pattern's repr, or the error's type, message and position)
+on the default keys and a seeded set of mutated keys; then one line over
+every ``from_smiles`` outcome (the molecule's repr, or the error) on the
+corpus, the 47 large molecules of ``bench/molecules.py`` and a seeded set
+of mutated corpus SMILES; then one line over the canonical SMILES of the
+corpus and the large molecules; last, one line per ``molfp``
 command run through ``cli.main`` in a temporary directory (see
 ``cli_lines``), over its exit code, stdout, stderr and the files it
 wrote.
@@ -40,9 +43,11 @@ from molfp import (
     cli,
     from_rows,
     from_smiles,
+    parse_smarts,
     serialize,
     transform_batch,
     union,
+    write_canonical_smiles,
 )
 from molfp.corpus import synthetic_smiles
 from molfp.errors import MolfpError
@@ -60,6 +65,10 @@ FAMILIES = (
     "substructure",
     "descriptors",
 )
+SMILES_ALPHABET = "CNOSPFIBrcl()[]=#-:/\\.0123456789%+@H*$? "
+# Every letter primitive, and the letters that make them two-letter
+# elements (He, Hg, Db, Rb, Xe).
+SMARTS_ALPHABET = "CNOScnos()[]=#-:~@!&,;.0123456789%+*$HDXRrAabeg "
 BAD = ("C1CC", "[H]=[H]", "C(C", "C=1CC1#C", "Q", "C%", "CC)")
 
 
@@ -105,14 +114,15 @@ def match_digest(smiles: list[str], keys) -> str:
     return h.hexdigest()
 
 
-def mutated(smiles: list[str], count: int, seed: int = 13) -> list[str]:
-    """Corpus SMILES with one to three characters inserted, deleted or
-    replaced, some with surrounding whitespace."""
+def mutated(
+    texts: list[str], count: int, seed: int = 13, alphabet: str = SMILES_ALPHABET
+) -> list[str]:
+    """Texts with one to three characters inserted, deleted or replaced,
+    some with surrounding whitespace."""
     rng = random.Random(seed)
-    alphabet = "CNOSPFIBrcl()[]=#-:/\\.0123456789%+@H*$? "
     out = []
     for _ in range(count):
-        chars = list(rng.choice(smiles))
+        chars = list(rng.choice(texts))
         for _ in range(rng.randint(1, 3)):
             p = rng.randrange(len(chars) + 1)
             op = rng.random()
@@ -127,11 +137,13 @@ def mutated(smiles: list[str], count: int, seed: int = 13) -> list[str]:
     return out
 
 
-def parse_digest(smiles: list[str]) -> str:
+def parse_digest(parse, texts: list[str]) -> str:
+    """Over ``parse(text)``'s repr, or its error's type, message and
+    position, for each text."""
     h = hashlib.sha256()
-    for smi in smiles:
+    for text in texts:
         try:
-            outcome = repr(from_smiles(smi))
+            outcome = repr(parse(text))
         except MolfpError as exc:
             outcome = f"{type(exc).__name__} {exc} {getattr(exc, 'position', None)}"
         h.update(outcome.encode() + b"\n")
@@ -227,10 +239,18 @@ def main() -> int:
 
     keys = load_key_set(default_key_set_path())
     print(f"{match_digest(smiles, keys)}  match() of {len(keys)} default keys", flush=True)
+    patterns = [key.smarts for key in keys]
+    patterns += mutated(patterns, 20000, alphabet=SMARTS_ALPHABET)
+    line = parse_digest(parse_smarts, patterns)
+    print(f"{line}  parse_smarts() of {len(patterns)} texts", flush=True)
 
-    texts = list(smiles) + [to_smiles(g) for g in large_set(13, FULL_LADDER)]
-    texts += mutated(smiles, 20000)
-    print(f"{parse_digest(texts)}  from_smiles() of {len(texts)} texts", flush=True)
+    valid = list(smiles) + [to_smiles(g) for g in large_set(13, FULL_LADDER)]
+    texts = valid + mutated(smiles, 20000)
+    print(f"{parse_digest(from_smiles, texts)}  from_smiles() of {len(texts)} texts", flush=True)
+    h = hashlib.sha256()
+    for smi in valid:
+        h.update(write_canonical_smiles(from_smiles(smi)).encode() + b"\n")
+    print(f"{h.hexdigest()}  canonical SMILES of {len(valid)} molecules", flush=True)
 
     for line, label in cli_lines(smiles):
         print(f"{line}  {label}", flush=True)

@@ -84,12 +84,7 @@ from .smarts import (
     match,
     parse_smarts,
 )
-from .smiles import canonical_ranks, parse_smiles, write_canonical_smiles
-
-
-def from_smiles(text: str) -> Molecule:
-    """Parse and sanitize in one step."""
-    return sanitize(parse_smiles(text))
+from .smiles import canonical_ranks, from_smiles, parse_smiles, write_canonical_smiles
 
 
 __version__ = "0.1.0"

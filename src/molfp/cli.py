@@ -21,8 +21,7 @@ from .corpus import synthetic_smiles
 from .fingerprints import FAMILY_ROWS, FingerprintConfig
 from .matrix import serialize
 from .similarity import bulk_top_k
-from .smiles import parse_smiles, write_canonical_smiles
-from .chem import sanitize
+from .smiles import from_smiles, write_canonical_smiles
 
 _FAMILY_CHOICES = {family.replace("_", "-"): family for family in FAMILY_ROWS}
 
@@ -132,7 +131,7 @@ def cmd_compute(args, records: list[SmiRecord]) -> int:
 
 def cmd_canonical(args, records: list[SmiRecord]) -> int:
     def canonical_line(rec: SmiRecord) -> str:
-        text = write_canonical_smiles(sanitize(parse_smiles(rec.smiles)))
+        text = write_canonical_smiles(from_smiles(rec.smiles))
         return f"{text} {rec.name}" if rec.name else text
 
     lines, failures = run_records(canonical_line, records, 0, args.on_error)

@@ -15,7 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .chem import Molecule, sanitize
+from .chem import Molecule
 from .errors import CompositionError, ConfigError, run_records
 from .fingerprints import (
     FAMILY_ROWS,
@@ -27,7 +27,7 @@ from .fingerprints import (
 )
 from .matrix import Matrix, from_entry_rows, to_dense, vstack
 from .smarts import SmartsKey
-from .smiles import parse_smiles
+from .smiles import from_smiles
 
 
 class SmilesParser:
@@ -37,9 +37,7 @@ class SmilesParser:
     output_kind = "molecule"
 
     def transform_one(self, record) -> Molecule:
-        if isinstance(record, Molecule):
-            return record
-        return sanitize(parse_smiles(record))
+        return record if isinstance(record, Molecule) else from_smiles(record)
 
 
 class Fingerprinter:
@@ -75,7 +73,7 @@ class Fingerprinter:
 
     def transform_one(self, record) -> FingerprintVector:
         if isinstance(record, str):
-            record = sanitize(parse_smiles(record))
+            record = from_smiles(record)
         return FAMILY_ROWS[self.config.family](record, self.config, self.keys)
 
 
@@ -123,6 +121,8 @@ class Union:
         return self.branches[0].input_kind
 
     def transform_one(self, record) -> FingerprintVector:
+        if isinstance(record, str) and self.input_kind == "molecule":
+            record = from_smiles(record)  # once for every branch
         entries: dict[int, float] = {}
         offset = 0
         for branch in self.branches:
@@ -170,14 +170,15 @@ class BatchOptions:
     def resolved_jobs(self) -> int:
         if self.jobs == "auto":
             return os.cpu_count() or 1
-        if not isinstance(self.jobs, int) or self.jobs < 1:
+        if type(self.jobs) is not int or self.jobs < 1:
             raise ConfigError(f"jobs must be a positive integer or 'auto', got {self.jobs!r}")
         return self.jobs
 
     def validate(self) -> None:
         self.resolved_jobs()
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigError("chunk_size must be positive")
+        size = self.chunk_size
+        if size is not None and (type(size) is not int or size < 1):
+            raise ConfigError(f"chunk_size must be a positive integer, got {size!r}")
         if self.error_mode not in ("raise", "skip"):
             raise ConfigError(f"unknown error_mode {self.error_mode!r}")
 
@@ -280,12 +281,11 @@ def benchmark(
     transformer,
     jobs_list,
     repeats: int = 3,
-    warmup: int = 1,
 ) -> list[BenchmarkRow]:
     """Wall-clock timing per worker count.
 
-    Each timing is the mean of ``repeats`` runs after ``warmup``
-    discarded runs; speedup is sequential time over parallel time, and
+    Each timing is the mean of ``repeats`` runs after one discarded
+    warm-up run; speedup is sequential time over parallel time, and
     exactly 1.0 for the jobs=1 row.
     """
     inputs = list(inputs)
@@ -299,8 +299,7 @@ def benchmark(
 
     def timed(jobs: int) -> float:
         opts = BatchOptions(jobs=jobs)
-        for _ in range(warmup):
-            transform_batch(inputs, transformer, opts)
+        transform_batch(inputs, transformer, opts)  # warm-up
         total = 0.0
         for _ in range(repeats):
             t0 = time.perf_counter()

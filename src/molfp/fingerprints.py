@@ -93,6 +93,10 @@ class FingerprintConfig:
     def validate(self) -> None:
         if self.family not in FAMILY_ROWS:
             raise ConfigError(f"unknown fingerprint family {self.family!r}")
+        for name in ("length", "radius", "min_path", "max_path", "distance_cap"):
+            value = getattr(self, name)
+            if type(value) is not int:  # not isinstance: True is an int
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.length < 1:
             raise ConfigError("length must be positive")
         if self.radius < 0:

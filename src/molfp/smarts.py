@@ -255,6 +255,19 @@ class _BondExprScanner(_ExprScanner):
 class _AtomExprScanner(_ExprScanner):
     """Parser for one atom expression: bracket contents or a bare symbol."""
 
+    # Letter primitives: the name taken when a count follows (None: the
+    # letter reads no count), and the primitive when none does.
+    LETTERS = {
+        "*": (None, Prim("wildcard")),
+        "a": (None, Prim("aromatic")),
+        "A": (None, Prim("aliphatic")),
+        "D": ("degree", Prim("degree", 1)),
+        "H": ("total_h", Prim("total_h", 1)),
+        "X": ("connectivity", Prim("connectivity", 1)),
+        "R": ("ring_count", Prim("in_ring")),
+        "r": ("ring_size", Prim("in_ring")),
+    }
+
     def unsupported(self, what: str):
         raise UnsupportedPrimitiveError(
             f"unsupported SMARTS primitive {what!r}", self.base + self.i
@@ -286,9 +299,6 @@ class _AtomExprScanner(_ExprScanner):
             if num is None:
                 self.error("# needs an atomic number")
             return Prim("element", num)
-        if c == "*":
-            self.i += 1
-            return Prim("wildcard")
         if c in "+-":
             sign = 1 if c == "+" else -1
             self.i += 1
@@ -309,36 +319,11 @@ class _AtomExprScanner(_ExprScanner):
         if two in ("se", "as"):
             self.i += 2
             return Prim("symbol_aromatic", LOWERCASE_AROMATIC[two])
-        if c == "a":
+        if c in self.LETTERS:
             self.i += 1
-            return Prim("aromatic")
-        if c == "A":
-            self.i += 1
-            return Prim("aliphatic")
-        if c == "D":
-            self.i += 1
-            num = self._number()
-            return Prim("degree", 1 if num is None else num)
-        if c == "H":
-            self.i += 1
-            num = self._number()
-            return Prim("total_h", 1 if num is None else num)
-        if c == "X":
-            self.i += 1
-            num = self._number()
-            return Prim("connectivity", 1 if num is None else num)
-        if c == "R":
-            self.i += 1
-            num = self._number()
-            if num is None:
-                return Prim("in_ring")
-            return Prim("ring_count", num)
-        if c == "r":
-            self.i += 1
-            num = self._number()
-            if num is None:
-                return Prim("in_ring")
-            return Prim("ring_size", num)
+            counted, bare = self.LETTERS[c]
+            num = self._number() if counted else None
+            return bare if num is None else Prim(counted, num)
         if c in LOWERCASE_AROMATIC:
             self.i += 1
             return Prim("symbol_aromatic", LOWERCASE_AROMATIC[c])

@@ -1,6 +1,8 @@
 """SMILES tokenizer, parser, and canonical writer.
 
-Supported subset: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I,
+``tokenize`` splits the text into contiguous (kind number, text,
+position) tuples, which ``parse_smiles`` reads as they are.  Supported
+subset: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I,
 lowercase aromatic forms), bracket atoms with isotope, charge, explicit
 hydrogen count and atom map (maps are parsed and discarded), ring
 closures including %nn, branches, dots, and the bond symbols - = # :.
@@ -11,8 +13,7 @@ that they were dropped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from enum import Enum
+from itertools import count
 
 from .chem import (
     LOWERCASE_AROMATIC,
@@ -27,6 +28,7 @@ from .chem import (
     MoleculeDraft,
     atomic_number,
     default_implicit_h,
+    sanitize,
     symbol_of,
 )
 from .errors import (
@@ -52,38 +54,22 @@ _BRACKET_RE = re.compile(
 )
 
 
-class TokenKind(Enum):
-    ATOM_ORGANIC = "organic_atom"
-    ATOM_BRACKET = "bracket_atom"
-    BOND = "bond"
-    RING = "ring_closure"
-    BRANCH_OPEN = "branch_open"
-    BRANCH_CLOSE = "branch_close"
-    DOT = "dot"
-
-
-@dataclass(frozen=True)
-class SmilesToken:
-    kind: TokenKind
-    text: str
-    pos: int
-
-
-# One group per token kind, in TokenKind order, so that a match's
-# lastindex names its kind.  Two-letter organic symbols are tried first.
+# One group per token kind, so that a match's lastindex is its kind
+# number.  Two-letter organic symbols are tried first.
 _ORGANIC_RE = "|".join(map(re.escape, ORGANIC_TWO)) + "|[" + "".join(
     map(re.escape, sorted(ORGANIC_ONE | ORGANIC_AROMATIC))
 ) + "]"
 _TOKEN_RE = re.compile(
     rf"({_ORGANIC_RE})|(\[[^\]]*\])|([-=#:/\\])|([0-9]|%[0-9][0-9])|(\()|(\))|(\.)"
 )
-_TOKEN_KINDS = (None, *TokenKind)
 _ORGANIC, _BRACKET, _BOND, _RING, _OPEN, _CLOSE, _DOT = range(1, 8)
 
 
-def _scan(text: str) -> list[tuple[int, str, int]]:
-    """(kind number, token text, position) for every token of ``text``;
-    the first character that starts no token raises SmilesSyntaxError."""
+def tokenize(text: str) -> list[tuple[int, str, int]]:
+    """Split SMILES text into (kind number, token text, position) tuples;
+    kind numbers are ``_ORGANIC`` to ``_DOT``.  Token spans are contiguous
+    and cover the whole input; the first character that starts no token
+    raises SmilesSyntaxError at its position."""
     tokens = []
     end = 0
     for m in _TOKEN_RE.finditer(text):
@@ -100,15 +86,6 @@ def _scan(text: str) -> list[tuple[int, str, int]]:
     if c == "%":
         raise SmilesSyntaxError("%% ring closure needs two digits", end)
     raise SmilesSyntaxError(f"unknown symbol {c!r}", end)
-
-
-def tokenize(text: str) -> list[SmilesToken]:
-    """Split SMILES text into tokens with source positions.
-
-    Token spans are contiguous and cover the whole input; any character
-    that starts no valid token raises SmilesSyntaxError at its position.
-    """
-    return [SmilesToken(_TOKEN_KINDS[kind], tok, pos) for kind, tok, pos in _scan(text)]
 
 
 def _parse_charge(text: str, pos: int) -> int:
@@ -192,7 +169,7 @@ def parse_smiles(text: str) -> MoleculeDraft:
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
 
-    for kind, tok, tok_pos in _scan(stripped):
+    for kind, tok, tok_pos in tokenize(stripped):
         pos = tok_pos + offset
         if kind == _ORGANIC or kind == _BRACKET:
             if kind == _ORGANIC:
@@ -267,6 +244,11 @@ def parse_smiles(text: str) -> MoleculeDraft:
     if branch_stack:
         raise UnbalancedParenError("unclosed '('", len(text) - 1)
     return draft
+
+
+def from_smiles(text: str) -> Molecule:
+    """Parse and sanitize in one step."""
+    return sanitize(parse_smiles(text))
 
 
 def _dense_ranks(keys: list) -> list[int]:
@@ -380,47 +362,43 @@ def write_canonical_smiles(mol: Molecule) -> str:
         return ""
     ranks = canonical_ranks(mol)
 
+    # Tree children and ring-closure partners, each with its bond index.
     visit_order = [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    ring_partners: list[list[int]] = [[] for _ in range(n)]
+    children: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ring_partners: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     roots: list[int] = []
-    counter = 0
-    seen = [False] * n
+    preorder = count()
+
+    def by_rank(atom: int):
+        return iter(sorted(mol.neighbors[atom], key=lambda nb: ranks[nb[0]]))
+
     for root in sorted(range(n), key=lambda i: ranks[i]):
-        if seen[root]:
+        if visit_order[root] >= 0:
             continue
         roots.append(root)
-        seen[root] = True
-        visit_order[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(sorted((nbr for nbr, _ in mol.neighbors[root]), key=lambda x: ranks[x])))]
+        visit_order[root] = next(preorder)
+        stack = [(root, -1, by_rank(root))]
         while stack:
             cur, parent, it = stack[-1]
-            advanced = False
-            for nbr in it:
+            for nbr, bidx in it:
                 if nbr == parent:
                     continue
-                if seen[nbr]:
-                    if visit_order[nbr] < visit_order[cur] and cur not in ring_partners[nbr]:
-                        # Back edge: record at both endpoints.
-                        ring_partners[nbr].append(cur)
-                        ring_partners[cur].append(nbr)
-                    continue
-                seen[nbr] = True
-                visit_order[nbr] = counter
-                counter += 1
-                children[cur].append(nbr)
-                stack.append(
-                    (nbr, cur, iter(sorted((x for x, _ in mol.neighbors[nbr]), key=lambda x: ranks[x])))
-                )
-                advanced = True
-                break
-            if not advanced:
+                if visit_order[nbr] < 0:
+                    visit_order[nbr] = next(preorder)
+                    children[cur].append((nbr, bidx))
+                    stack.append((nbr, cur, by_rank(nbr)))
+                    break
+                # A back edge is met once, from its later-visited end;
+                # record it at both endpoints.
+                if visit_order[nbr] < visit_order[cur]:
+                    ring_partners[nbr].append((cur, bidx))
+                    ring_partners[cur].append((nbr, bidx))
+            else:
                 stack.pop()
 
     # Ring closures take fresh numbers 1..99 in order of opening; once
     # those are spent, each opening reuses the lowest number not open.
-    open_rings: dict[tuple[int, int], int] = {}
+    open_rings: dict[int, int] = {}  # bond index -> ring number
     next_ring = 1
 
     def ring_number() -> int:
@@ -435,39 +413,30 @@ def write_canonical_smiles(mol: Molecule) -> str:
 
     def atom_text(idx: int) -> str:
         parts = [_atom_label(mol, idx)]
-        for partner in sorted(ring_partners[idx], key=lambda p: visit_order[p]):
-            key = (min(idx, partner), max(idx, partner))
-            num = open_rings.pop(key, None)
+        for _, bidx in sorted(ring_partners[idx], key=lambda p: visit_order[p[0]]):
+            num = open_rings.pop(bidx, None)
             if num is None:
-                bond = mol.bond_between(idx, partner)
-                assert bond is not None
-                num = open_rings[key] = ring_number()
-                parts.append(_bond_symbol(mol, bond))
+                num = open_rings[bidx] = ring_number()
+                parts.append(_bond_symbol(mol, mol.bonds[bidx]))
             parts.append(str(num) if num < 10 else f"%{num:02d}")
         return "".join(parts)
 
     fragments: list[str] = []
     for root in roots:
         parts: list[str] = []
-        ops: list[tuple[str, ...]] = [("atom", str(root), "")]
+        # Literal text, or (atom, symbol of the bond that leads to it).
+        ops: list[str | tuple[int, str]] = [(root, "")]
         while ops:
             op = ops.pop()
-            if op[0] == "text":
-                parts.append(op[1])
+            if isinstance(op, str):
+                parts.append(op)
                 continue
-            idx = int(op[1])
-            parts.append(op[2] + atom_text(idx))
-            kids = children[idx]
-            for i in range(len(kids) - 1, -1, -1):
-                kid = kids[i]
-                bond = mol.bond_between(idx, kid)
-                assert bond is not None
-                sym = _bond_symbol(mol, bond)
-                if i < len(kids) - 1:
-                    ops.append(("text", ")"))
-                    ops.append(("atom", str(kid), sym))
-                    ops.append(("text", "("))
-                else:
-                    ops.append(("atom", str(kid), sym))
+            idx, sym = op
+            parts.append(sym + atom_text(idx))
+            # The last child is pushed first and written bare; the others
+            # are branches.
+            for i, (kid, bidx) in enumerate(reversed(children[idx])):
+                op = (kid, _bond_symbol(mol, mol.bonds[bidx]))
+                ops += (")", op, "(") if i else (op,)
         fragments.append("".join(parts))
     return ".".join(fragments)

@@ -16,6 +16,7 @@ from molfp import (
     FingerprintConfig,
     Fingerprinter,
     FormatError,
+    Molecule,
     RecordError,
     ShapeError,
     SmilesParser,
@@ -69,6 +70,18 @@ class SlowLogging(Fingerprinter):
         with open(self.log, "a") as f:
             f.write(f"{record}\n")
         time.sleep(0.02)
+        return super().transform_one(record)
+
+
+class TypeLogging(Fingerprinter):
+    """ecfp that appends the type of each record it receives to a list."""
+
+    def __init__(self, seen: list, length: int):
+        super().__init__(FingerprintConfig(family="ecfp", length=length))
+        self.seen = seen
+
+    def transform_one(self, record):
+        self.seen.append(type(record))
         return super().transform_one(record)
 
 
@@ -234,6 +247,16 @@ class TestTransformBatch:
         with pytest.raises(ConfigError):
             transform_batch(["C"], fp, BatchOptions(chunk_size=0))
 
+    @pytest.mark.parametrize(
+        "field, value", [("jobs", True), ("chunk_size", 2.5), ("chunk_size", True)]
+    )
+    def test_integer_options_reject_floats_and_bools(self, field, value):
+        opts = BatchOptions(**{field: value})
+        with pytest.raises(ConfigError, match=f"^{field} must be a positive integer"):
+            opts.validate()
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            transform_batch(["CCO"], ecfp_t(length=64), opts)
+
     def test_auto_jobs_resolves(self):
         assert BatchOptions(jobs="auto").resolved_jobs() >= 1
 
@@ -338,6 +361,21 @@ class TestUnion:
         assert [f[0] for f in report.failures] == [2, 3, 9]
         assert text_of(m1) == text_of(m2)
         assert text_of(m1).startswith("DENSEv1" if output == "dense" else "CSRv1")
+
+    def test_text_record_parsed_once_for_all_branches(self):
+        seen: list = []
+        u = union([TypeLogging(seen, 64), TypeLogging(seen, 32)])
+        row = u.transform_one("CCO")
+        assert seen == [Molecule, Molecule]
+        assert row.entries == union([ecfp_t(length=64), ecfp_t(length=32)]).transform_one(
+            from_smiles("CCO")
+        ).entries
+        with pytest.raises(UnclosedRingError) as alone:
+            ecfp_t(length=64).transform_one("C1CC")
+        with pytest.raises(UnclosedRingError) as branched:
+            u.transform_one("C1CC")
+        message = "ring closure 1 never matched (at position 1)"
+        assert str(branched.value) == str(alone.value) == message
 
     def test_in_pipeline(self, corpus1000):
         u = union([ecfp_t(length=64), ecfp_t(length=32)])

@@ -12,6 +12,7 @@ from molfp import (
     ConfigError,
     FingerprintConfig,
     FingerprintVector,
+    Fingerprinter,
     FoldError,
     atom_pair,
     compute,
@@ -320,6 +321,23 @@ class TestVectorAndConfig:
         with pytest.raises(ConfigError):
             cfg("ecfp", variant="ternary").validate()
         cfg("ecfp").validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("length", 64.5),
+            ("length", True),
+            ("radius", 1.5),
+            ("min_path", True),
+            ("max_path", 3.5),
+            ("distance_cap", 2.5),
+        ],
+    )
+    def test_integer_settings_reject_floats_and_bools(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            cfg("ecfp", **{field: value}).validate()
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            Fingerprinter(cfg("ecfp", **{field: value}))
 
     def test_compute_dispatch(self, mols200):
         mol = mols200[0]

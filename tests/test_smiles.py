@@ -30,17 +30,17 @@ class TestTokenizer:
     def test_spans_cover_input(self):
         text = "CC(=O)Oc1ccccc1C(=O)[O-]"
         tokens = tokenize(text)
-        covered = sum(len(t.text) for t in tokens)
+        covered = sum(len(tok) for _, tok, _ in tokens)
         assert covered == len(text)
-        assert [t.pos for t in tokens] == sorted(t.pos for t in tokens)
+        assert [pos for _, _, pos in tokens] == sorted(pos for _, _, pos in tokens)
 
     def test_two_letter_organic(self):
-        kinds = [t.text for t in tokenize("ClCBr")]
+        kinds = [tok for _, tok, _ in tokenize("ClCBr")]
         assert kinds == ["Cl", "C", "Br"]
 
     def test_percent_ring_closure(self):
         tokens = tokenize("C%12CC%12")
-        ring_tokens = [t for t in tokens if t.text.startswith("%")]
+        ring_tokens = [t for t in tokens if t[1].startswith("%")]
         assert len(ring_tokens) == 2
 
     def test_unknown_symbol_position(self):
