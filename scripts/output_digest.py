@@ -14,10 +14,10 @@ on the default keys and a seeded set of mutated keys; then one line over
 every ``from_smiles`` outcome (the molecule's repr, or the error) on the
 corpus, the 47 large molecules of ``bench/molecules.py`` and a seeded set
 of mutated corpus SMILES; then one line over the canonical SMILES of the
-corpus and the large molecules; last, one line per ``molfp``
-command run through ``cli.main`` in a temporary directory (see
-``cli_lines``), over its exit code, stdout, stderr and the files it
-wrote.
+corpus and the large molecules, and one over their ``canonical_ranks``;
+last, one line per ``molfp`` command run through ``cli.main`` in a
+temporary directory (see ``cli_lines``), over its exit code, stdout,
+stderr and the files it wrote.
 
 Usage (one source tree against another):
     PYTHONPATH=old/src python scripts/output_digest.py > old.txt
@@ -40,6 +40,7 @@ from molfp import (
     BatchOptions,
     FingerprintConfig,
     Fingerprinter,
+    canonical_ranks,
     cli,
     from_rows,
     from_smiles,
@@ -251,6 +252,10 @@ def main() -> int:
     for smi in valid:
         h.update(write_canonical_smiles(from_smiles(smi)).encode() + b"\n")
     print(f"{h.hexdigest()}  canonical SMILES of {len(valid)} molecules", flush=True)
+    h = hashlib.sha256()
+    for smi in valid:
+        h.update(repr(canonical_ranks(from_smiles(smi))).encode() + b"\n")
+    print(f"{h.hexdigest()}  canonical_ranks of {len(valid)} molecules", flush=True)
 
     for line, label in cli_lines(smiles):
         print(f"{line}  {label}", flush=True)

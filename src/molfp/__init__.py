@@ -15,7 +15,6 @@ from .chem import (
     initial_atom_invariant,
     perceive_rings,
     sanitize,
-    shortest_path_matrix,
 )
 from .engine import (
     BatchOptions,

@@ -9,15 +9,12 @@ and never mutates them, so they are safe to share across workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from .errors import AromaticityError, ValenceError
 from .hashing import TAG_ATOM_INVARIANT, stable_hash32
-
-INF = math.inf
 
 _SYMBOLS = (
     "H", "He", "Li", "Be", "B", "C", "N", "O", "F", "Ne",
@@ -220,12 +217,6 @@ class Molecule:
     @property
     def n_atoms(self) -> int:
         return len(self.atoms)
-
-    def bond_between(self, i: int, j: int) -> Bond | None:
-        for nbr, bidx in self.neighbors[i]:
-            if nbr == j:
-                return self.bonds[bidx]
-        return None
 
 
 def _adjacency(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> list[list[tuple[int, int]]]:
@@ -603,17 +594,6 @@ def bfs_distances(mol: Molecule, start: int, limit: int | None = None) -> dict[i
                     nxt.append(nbr)
         queue = nxt
     return dist
-
-
-def shortest_path_matrix(mol: Molecule) -> list[list[float]]:
-    """All-pairs unweighted BFS distances; unreachable pairs are inf."""
-    out = []
-    for start in range(mol.n_atoms):
-        row = [INF] * mol.n_atoms
-        for j, d in bfs_distances(mol, start).items():
-            row[j] = float(d)
-        out.append(row)
-    return out
 
 
 def initial_atom_invariant(mol: Molecule, idx: int) -> int:

@@ -251,47 +251,156 @@ def from_smiles(text: str) -> Molecule:
     return sanitize(parse_smiles(text))
 
 
-def _dense_ranks(keys: list) -> list[int]:
-    order = {k: r for r, k in enumerate(sorted(set(keys)))}
-    return [order[k] for k in keys]
+class _Cells:
+    """An ordered partition of a molecule's atoms into cells.
 
+    Cell ``c`` holds the atoms ``members[c]`` at the positions
+    ``start[c]`` to ``start[c] + len(members[c]) - 1``; an atom's rank is
+    the start of its cell.  ``cell_at[p]`` is the cell that starts at
+    position ``p`` (stale where no cell starts).  Building the partition
+    seeds it by atom invariants and refines it until no cell splits.
+    """
 
-def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
-    """Iterative neighborhood refinement until the partition stabilizes."""
-    codes = [b.order.value for b in mol.bonds]
-    while True:
-        sigs = [
-            (ranks[i], tuple(sorted((codes[bidx], ranks[nbr]) for nbr, bidx in nbrs)))
-            for i, nbrs in enumerate(mol.neighbors)
-        ]
-        new = _dense_ranks(sigs)
-        if new == ranks:
-            return ranks
-        ranks = new
+    __slots__ = ("nbrs", "cell_of", "start", "members", "cell_at")
+
+    def __init__(self, mol: Molecule):
+        n = mol.n_atoms
+        # Bond codes are scaled by n, so that code + rank orders a
+        # neighbour as the pair (code, rank) does.
+        codes = [b.order.value * n for b in mol.bonds]
+        self.nbrs = [[(j, codes[b]) for j, b in row] for row in mol.neighbors]
+        by_seed: dict[tuple, list[int]] = {}
+        for i, a in enumerate(mol.atoms):
+            seed = (a.element, a.degree, a.charge, a.implicit_h, a.aromatic)
+            by_seed.setdefault(seed, []).append(i)
+        self.cell_of = [0] * n
+        self.start: list[int] = []
+        self.members: list[set[int]] = []
+        self.cell_at = [0] * n
+        pos = 0
+        for seed in sorted(by_seed):
+            atoms = by_seed[seed]
+            self._add_cell(pos, atoms)
+            pos += len(atoms)
+        self.refine(range(n))
+
+    def _add_cell(self, pos: int, atoms: list[int]) -> None:
+        cell = len(self.start)
+        self.start.append(pos)
+        self.members.append(set(atoms))
+        self.cell_at[pos] = cell
+        for a in atoms:
+            self.cell_of[a] = cell
+
+    def refine(self, touched) -> None:
+        """Split cells in synchronous rounds until none splits.
+
+        A round re-signs the ``touched`` atoms (at first those given,
+        later the neighbours of atoms that moved to a new cell) plus one
+        untouched member per cell it touches, which stands for all of
+        them.  A signature is the sorted ``(bond code, neighbour rank)``
+        list, read from the ranks at the start of the round; a split cell
+        keeps its positions, its parts in signature order.  The untouched
+        part, or else the largest (Paige & Tarjan, SIAM J. Comput. 16:973,
+        1987), keeps the cell; the others are new.
+        """
+        nbrs, cell_of, start, members, cell_at = (
+            self.nbrs, self.cell_of, self.start, self.members, self.cell_at
+        )
+
+        def sign(atom: int) -> tuple[int, ...]:
+            # The sorted (bond code, neighbour rank) list; one- and
+            # two-neighbour atoms, most of a molecule, skip the sort.
+            nb = nbrs[atom]
+            if len(nb) == 1:
+                (j, k), = nb
+                return (k + start[cell_of[j]],)
+            if len(nb) == 2:
+                (j, k), (j2, k2) = nb
+                x, y = k + start[cell_of[j]], k2 + start[cell_of[j2]]
+                return (x, y) if x <= y else (y, x)
+            return tuple(sorted([k + start[cell_of[j]] for j, k in nb]))
+
+        touched = set(touched)
+        while touched:
+            by_cell: dict[int, list[int]] = {}
+            for a in touched:
+                c = cell_of[a]
+                if len(members[c]) > 1:
+                    by_cell.setdefault(c, []).append(a)
+            splits = []
+            for c, atoms in by_cell.items():
+                parts: dict[tuple[int, ...], list[int]] = {}
+                for a in atoms:
+                    parts.setdefault(sign(a), []).append(a)
+                rest = len(members[c]) - len(atoms)
+                if rest:
+                    rep = next(a for a in members[c] if a not in touched)
+                    keep = sign(rep)
+                    parts.setdefault(keep, [])
+                if len(parts) > 1:
+                    if not rest:
+                        keep = max(parts, key=lambda sig: len(parts[sig]))
+                    splits.append((c, parts, keep, rest))
+            moved: list[int] = []
+            for c, parts, keep, rest in splits:
+                pos = start[c]
+                for sig in sorted(parts):
+                    part = parts[sig]
+                    if sig == keep:
+                        start[c] = pos
+                        cell_at[pos] = c
+                        pos += rest
+                    else:
+                        members[c].difference_update(part)
+                        self._add_cell(pos, part)
+                        moved += part
+                    pos += len(part)
+            touched = {j for a in moved for j, _ in nbrs[a]}
+
+    def individualize(self, atom: int) -> None:
+        """Place ``atom`` in a cell of its own before the rest of its
+        cell, then refine from its neighbours."""
+        c = self.cell_of[atom]
+        pos = self.start[c]
+        self.members[c].discard(atom)
+        self.start[c] = pos + 1
+        self.cell_at[pos + 1] = c
+        self._add_cell(pos, [atom])
+        self.refine(j for j, _ in self.nbrs[atom])
+
+    def ranks(self) -> list[int]:
+        start = self.start
+        return [start[c] for c in self.cell_of]
 
 
 def canonical_ranks(mol: Molecule) -> list[int]:
     """Canonical per-atom ranks (a permutation of 0..n-1).
 
-    Seeded by (element, degree, charge, implicit hydrogens, aromatic),
-    refined by neighbor rank multisets; remaining ties are broken by
-    individualizing the smallest original index of the first non-trivial
-    class and re-refining.
+    The atoms are split into ordered cells, seeded by (element, degree,
+    charge, implicit hydrogens, aromatic) in sorted order; an atom's rank
+    is the position where its cell starts.  Refinement runs in
+    synchronous rounds: each round splits every cell by the sorted
+    multiset of (bond code, neighbour rank) taken at the start of the
+    round, the parts in that order within the cell's positions, and only
+    atoms next to an atom that changed cell are re-signed.  When no cell
+    splits, the smallest original index of the first cell with more than
+    one atom is individualized (placed before the rest of its cell) and
+    refinement resumes from that atom's neighbours, until every cell has
+    one atom.  The ranks equal those of full rounds with dense ranks,
+    because the splitting key is invariant under a monotone renumbering
+    (Weininger et al., J. Chem. Inf. Comput. Sci. 29:97, 1989; McKay &
+    Piperno, J. Symb. Comput. 60:94, 2014).
     """
-    n = mol.n_atoms
-    seeds = [
-        (a.element, a.degree, a.charge, a.implicit_h, a.aromatic) for a in mol.atoms
-    ]
-    ranks = _refine(mol, _dense_ranks(seeds))
-    while len(set(ranks)) < n:
-        by_rank: dict[int, list[int]] = {}
-        for i, r in enumerate(ranks):
-            by_rank.setdefault(r, []).append(i)
-        tied = min(r for r, members in by_rank.items() if len(members) > 1)
-        chosen = min(by_rank[tied])
-        bumped = [r * 2 + (0 if i == chosen else 1) for i, r in enumerate(ranks)]
-        ranks = _refine(mol, _dense_ranks(bumped))
-    return ranks
+    cells = _Cells(mol)
+    pos = 0
+    while pos < mol.n_atoms:
+        members = cells.members[cells.cell_at[pos]]
+        if len(members) == 1:
+            pos += 1
+        else:
+            cells.individualize(min(members))
+    return cells.ranks()
 
 
 def _default_h(mol: Molecule, idx: int) -> int | None:
@@ -354,9 +463,13 @@ def write_canonical_smiles(mol: Molecule) -> str:
     """Canonical SMILES: DFS from the lowest-rank atom of each component,
     neighbors in rank order, components ordered by their lowest rank.
 
-    The output depends only on the abstract graph, not on input atom
-    order (given that tied rank classes are automorphic, which iterative
-    refinement ensures for molecular graphs)."""
+    The output is the same for every input atom order only when the
+    atoms still tied after refinement are related by an automorphism,
+    so that whichever one the tie-break picks gives the same string.
+    Refinement does not ensure this: it cannot tell the CH2 of a
+    three-membered ring from that of a six-membered one, so
+    ``C1CCCCC1.C1CC1.C1CC1`` written in three atom orders gives three
+    different strings."""
     n = mol.n_atoms
     if n == 0:
         return ""

@@ -9,6 +9,7 @@ data model.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from molfp.chem import Bond, BondOrder, Molecule, MoleculeDraft
@@ -112,6 +113,14 @@ def independent_cycles(edges: list[tuple[int, int]], cycles) -> bool:
 
 # ---------------------------------------------------------- isomorphism
 
+def bond_between(mol: Molecule, i: int, j: int) -> Bond | None:
+    """The bond joining atoms i and j, or None."""
+    for nbr, bidx in mol.neighbors[i]:
+        if nbr == j:
+            return mol.bonds[bidx]
+    return None
+
+
 def _atom_key(mol: Molecule, i: int):
     a = mol.atoms[i]
     isotope = -1 if a.isotope is None else a.isotope
@@ -130,7 +139,7 @@ def are_isomorphic(a: Molecule, b: Molecule) -> bool:
         return False
 
     def bond_order(mol: Molecule, i: int, j: int):
-        bond = mol.bond_between(i, j)
+        bond = bond_between(mol, i, j)
         return bond.order if bond else None
 
     mapping = [-1] * n
@@ -174,6 +183,52 @@ def random_permutation(n: int, rng: random.Random) -> list[int]:
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+# ------------------------------------------------------ canonical ranks
+
+def _dense_ranks(keys: list) -> list[int]:
+    order = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys]
+
+
+def seed_ranks_oracle(mol: Molecule) -> list[int]:
+    """Dense ranks of the atom invariants that seed canonical ranking."""
+    return _dense_ranks(
+        [(a.element, a.degree, a.charge, a.implicit_h, a.aromatic) for a in mol.atoms]
+    )
+
+
+def refine_oracle(mol: Molecule, ranks: list[int]) -> list[int]:
+    """Full rounds: every atom's (rank, sorted (bond code, neighbour
+    rank)) signature recomputed, dense-ranked, until nothing changes."""
+    codes = [b.order.value for b in mol.bonds]
+    while True:
+        sigs = [
+            (ranks[i], tuple(sorted((codes[bidx], ranks[nbr]) for nbr, bidx in nbrs)))
+            for i, nbrs in enumerate(mol.neighbors)
+        ]
+        new = _dense_ranks(sigs)
+        if new == ranks:
+            return ranks
+        ranks = new
+
+
+def canonical_ranks_oracle(mol: Molecule) -> list[int]:
+    """Refine the seed ranks; while ranks tie, place the smallest index of
+    the lowest tied rank before the rest of its class and refine again
+    from scratch."""
+    n = mol.n_atoms
+    ranks = refine_oracle(mol, seed_ranks_oracle(mol))
+    while len(set(ranks)) < n:
+        by_rank: dict[int, list[int]] = {}
+        for i, r in enumerate(ranks):
+            by_rank.setdefault(r, []).append(i)
+        tied = min(r for r, members in by_rank.items() if len(members) > 1)
+        chosen = min(by_rank[tied])
+        bumped = [r * 2 + (0 if i == chosen else 1) for i, r in enumerate(ranks)]
+        ranks = refine_oracle(mol, _dense_ranks(bumped))
+    return ranks
 
 
 # --------------------------------------------------------------- smarts
@@ -261,7 +316,7 @@ def brute_force_matches(pattern: SmartsPattern, mol: Molecule) -> set[tuple[int,
         if not ok:
             continue
         for bpos, (qi, qj) in enumerate(pattern.bond_list):
-            bond = mol.bond_between(combo[qi], combo[qj])
+            bond = bond_between(mol, combo[qi], combo[qj])
             if bond is None:
                 ok = False
                 break
@@ -290,6 +345,17 @@ def _bfs_dists(mol: Molecule, start: int, limit: int | None = None) -> dict[int,
                     nxt.append(nbr)
         frontier = nxt
     return dist
+
+
+def shortest_path_matrix(mol: Molecule) -> list[list[float]]:
+    """All-pairs unweighted BFS distances; unreachable pairs are inf."""
+    out = []
+    for start in range(mol.n_atoms):
+        row = [math.inf] * mol.n_atoms
+        for j, d in _bfs_dists(mol, start).items():
+            row[j] = float(d)
+        out.append(row)
+    return out
 
 
 def ecfp_feature_count(mol: Molecule, radius: int) -> int:

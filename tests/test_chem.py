@@ -14,7 +14,6 @@ from molfp import (
     initial_atom_invariant,
     perceive_rings,
     sanitize,
-    shortest_path_matrix,
 )
 from molfp.chem import AtomDraft, Bond, BondOrder, MoleculeDraft
 from molfp.smiles import parse_smiles
@@ -27,6 +26,7 @@ from .oracles import (
     independent_cycles,
     permute_draft,
     random_permutation,
+    shortest_path_matrix,
 )
 
 

@@ -21,9 +21,15 @@ from molfp import (
     write_canonical_smiles,
 )
 from molfp.chem import BondOrder
-from molfp.smiles import parse_smiles, tokenize
+from molfp.smiles import _Cells, parse_smiles, tokenize
 
-from .oracles import are_isomorphic, permute_draft, random_permutation
+from .oracles import (
+    are_isomorphic,
+    permute_draft,
+    random_permutation,
+    refine_oracle,
+    seed_ranks_oracle,
+)
 
 
 class TestTokenizer:
@@ -235,14 +241,9 @@ def test_parser_never_crashes_outside_error_types(text):
 
 class TestCanonicalRanks:
     def test_benzene_pre_tiebreak_symmetry(self):
-        from molfp.smiles import _dense_ranks, _refine
-
         mol = from_smiles("c1ccccc1")
-        seeds = [
-            (a.element, a.degree, a.charge, a.implicit_h, a.aromatic)
-            for a in mol.atoms
-        ]
-        assert len(set(_refine(mol, _dense_ranks(seeds)))) == 1
+        assert len(set(refine_oracle(mol, seed_ranks_oracle(mol)))) == 1
+        assert len(set(_Cells(mol).ranks())) == 1
 
     def test_full_ranks_are_permutation(self):
         mol = from_smiles("CC(=O)Oc1ccccc1C(=O)O")
@@ -253,15 +254,9 @@ class TestCanonicalRanks:
         assert sorted(canonical_ranks(from_smiles("CCO"))) == [0, 1, 2]
 
     def test_propane_terminals_tie_before_break(self):
-        from molfp.smiles import _dense_ranks, _refine
-
         mol = from_smiles("CCC")
-        seeds = [
-            (a.element, a.degree, a.charge, a.implicit_h, a.aromatic)
-            for a in mol.atoms
-        ]
-        ranks = _refine(mol, _dense_ranks(seeds))
-        assert ranks[0] == ranks[2] != ranks[1]
+        for ranks in (refine_oracle(mol, seed_ranks_oracle(mol)), _Cells(mol).ranks()):
+            assert ranks[0] == ranks[2] != ranks[1]
 
 
 class TestCanonicalWriter:
