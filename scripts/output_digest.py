@@ -15,6 +15,8 @@ every ``from_smiles`` outcome (the molecule's repr, or the error) on the
 corpus, the 47 large molecules of ``bench/molecules.py`` and a seeded set
 of mutated corpus SMILES; then one line over the canonical SMILES of the
 corpus and the large molecules, and one over their ``canonical_ranks``;
+then one line over the ecfp count rows of the large molecules, and one
+over their atom_pair count rows at each distance cap of 1, 3 and 30;
 last, one line per ``molfp`` command run through ``cli.main`` in a
 temporary directory (see ``cli_lines``), over its exit code, stdout,
 stderr and the files it wrote.
@@ -245,7 +247,8 @@ def main() -> int:
     line = parse_digest(parse_smarts, patterns)
     print(f"{line}  parse_smarts() of {len(patterns)} texts", flush=True)
 
-    valid = list(smiles) + [to_smiles(g) for g in large_set(13, FULL_LADDER)]
+    large = [to_smiles(g) for g in large_set(13, FULL_LADDER)]
+    valid = list(smiles) + large
     texts = valid + mutated(smiles, 20000)
     print(f"{parse_digest(from_smiles, texts)}  from_smiles() of {len(texts)} texts", flush=True)
     h = hashlib.sha256()
@@ -256,6 +259,15 @@ def main() -> int:
     for smi in valid:
         h.update(repr(canonical_ranks(from_smiles(smi))).encode() + b"\n")
     print(f"{h.hexdigest()}  canonical_ranks of {len(valid)} molecules", flush=True)
+    configs = [("ecfp", FingerprintConfig(family="ecfp", variant="count"))]
+    for cap in (1, 3, 30):
+        cfg = FingerprintConfig(family="atom_pair", variant="count", distance_cap=cap)
+        configs.append((f"atom_pair cap={cap}", cfg))
+    for label, cfg in configs:
+        fp = Fingerprinter(cfg)
+        rows = [fp.transform_one(smi) for smi in large]
+        line = digest(from_rows(rows, "sparse"))
+        print(f"{line}  {label} count rows of {len(large)} large molecules", flush=True)
 
     for line, label in cli_lines(smiles):
         print(f"{line}  {label}", flush=True)

@@ -108,6 +108,11 @@ class BondOrder(Enum):
     __hash__ = object.__hash__
 
 
+# Each order's value as a plain dict lookup: ``BondOrder.value`` is an
+# Enum property, several times slower to read in per-bond loops.
+BOND_CODE = {order: order.value for order in BondOrder}
+
+
 @dataclass(frozen=True)
 class Bond:
     i: int
@@ -576,24 +581,6 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
         total_h=tuple(total_h),
         source_text=draft.source_text,
     )
-
-
-def bfs_distances(mol: Molecule, start: int, limit: int | None = None) -> dict[int, int]:
-    """Bond-count distances from ``start`` to every atom it reaches,
-    searching no further than ``limit`` bonds when one is given."""
-    dist = {start: 0}
-    queue = [start]
-    depth = 0
-    while queue and (limit is None or depth < limit):
-        depth += 1
-        nxt = []
-        for cur in queue:
-            for nbr, _ in mol.neighbors[cur]:
-                if nbr not in dist:
-                    dist[nbr] = depth
-                    nxt.append(nbr)
-        queue = nxt
-    return dist
 
 
 def initial_atom_invariant(mol: Molecule, idx: int) -> int:

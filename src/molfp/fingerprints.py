@@ -10,15 +10,17 @@ record presence, count variants record multiplicity.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, compress
 
 from .chem import (
+    BOND_CODE,
     HALOGENS,
     BondOrder,
     Molecule,
     atomic_weight,
-    bfs_distances,
     initial_atom_invariant,
 )
 from .errors import ConfigError, FoldError
@@ -140,7 +142,7 @@ def _circular(mol: Molecule, cfg: FingerprintConfig, seeds: list[int]) -> Finger
     iteration first, then lower identifier) is discarded; iteration-0
     environments are one per atom and never collide.
     """
-    bond_codes = [b.order.value for b in mol.bonds]
+    bond_codes = [BOND_CODE[b.order] for b in mol.bonds]
     # (iteration, identifier, dedup key); radius-0 keys are per-atom.
     features: list[tuple[int, int, object]] = [
         (0, code, ("atom", idx)) for idx, code in enumerate(seeds)
@@ -204,31 +206,85 @@ def fcfp(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     return _circular(mol, cfg, seeds)
 
 
-def _atom_type_code(mol: Molecule, idx: int) -> int:
-    a = mol.atoms[idx]
-    return stable_hash32(TAG_ATOM_TYPE, a.element, a.degree, int(a.aromatic))
+@lru_cache(maxsize=4096)
+def _type_code(element: int, degree: int, aromatic: bool) -> int:
+    """Atom type of the atom-pair and torsion families."""
+    return stable_hash32(TAG_ATOM_TYPE, element, degree, int(aromatic))
+
+
+# Above this many slots the atom-pair tally is a dict keyed by slot
+# instead of a flat list.  The list has (cap + 1) * (types + 1)^2 slots,
+# past this size only with dozens of distinct atom types.
+_MAX_TALLY_SLOTS = 1 << 16
 
 
 def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     """Hash (type, topological distance, type) for every heavy-atom pair
     within the distance cap; cross-component pairs are excluded.
 
-    Distances come from one breadth-first search per heavy atom that
-    stops at the cap, so the cost is the atom count times the atoms
-    within the cap.  Each pair is counted from its lower atom index,
-    and each distinct (type, distance, type) is hashed once.
+    Column ``c`` stands for the c-th smallest heavy atom type; the
+    hydrogens share one last column.  The atoms are renumbered in column
+    order, so that a pair counted from its lower atom has the lower
+    column first.  One breadth-first search per heavy atom, over plain
+    int neighbour lists and one ``seen`` list stamped with the source,
+    stops at the cap or once every higher atom is reached, so the cost
+    is the atom count times the atoms within the cap.  A pair of columns
+    a <= b at distance d is counted in one flat list at slot
+    d * width^2 + a * width + b (width = columns).  Each nonzero
+    heavy-atom slot is one distinct (type, distance, type), hashed once.
     """
-    types = [_atom_type_code(mol, i) for i in range(mol.n_atoms)]
-    heavy = [a.element != 1 for a in mol.atoms]
+    n = mol.n_atoms
+    types = [
+        _type_code(a.element, a.degree, a.aromatic) if a.element != 1 else None
+        for a in mol.atoms
+    ]
+    distinct = sorted(set(types) - {None})
+    n_types = len(distinct)
+    column = {t: c for c, t in enumerate(distinct)}
+    column[None] = n_types
+    col = [column[t] for t in types]
+    order = sorted(range(n), key=col.__getitem__)
+    new_index = sorted(range(n), key=order.__getitem__)  # inverse of order
+    nbrs = [[new_index[j] for j, _ in mol.neighbors[i]] for i in order]
+    col.sort()
+    n_heavy = n - types.count(None)
+
+    width = n_types + 1
+    plane = width * width  # slots per distance
+    cap = min(cfg.distance_cap, n - 1)
+    size = (cap + 1) * plane
+    tally = [0] * size if size <= _MAX_TALLY_SLOTS else defaultdict(int)
+    seen = [-1] * n
+    for i in range(n_heavy - 1):  # the last heavy atom has no heavy partner above it
+        seen[i] = i
+        frontier = [i]
+        slot = col[i] * width
+        left = n - 1 - i  # atoms above i not reached yet
+        for _ in range(cap):
+            slot += plane
+            reached = []
+            for cur in frontier:
+                for j in nbrs[cur]:
+                    if seen[j] != i:
+                        seen[j] = i
+                        reached.append(j)
+                        if j > i:
+                            tally[slot + col[j]] += 1
+                            left -= 1
+            if not (reached and left):
+                break
+            frontier = reached
+
+    if isinstance(tally, list):
+        nonzero = zip(compress(range(size), tally), filter(None, tally))
+    else:
+        nonzero = tally.items()
     pairs: dict[tuple[int, int, int], int] = {}
-    for i, ti in enumerate(types):
-        if not heavy[i]:
-            continue
-        for j, d in bfs_distances(mol, i, cfg.distance_cap).items():
-            if j > i and heavy[j]:
-                tj = types[j]
-                key = (ti, d, tj) if ti <= tj else (tj, d, ti)
-                pairs[key] = pairs.get(key, 0) + 1
+    for slot, count in nonzero:
+        d, rest = divmod(slot, plane)
+        a, b = divmod(rest, width)
+        if b < n_types:
+            pairs[distinct[a], d, distinct[b]] = count
     return _hashed(pairs, TAG_ATOM_PAIR, cfg)
 
 
@@ -240,7 +296,7 @@ def topological_torsion(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVec
     Each undirected 4-path is enumerated once, from its central bond,
     and each distinct oriented type sequence is hashed once.
     """
-    types = [_atom_type_code(mol, i) for i in range(mol.n_atoms)]
+    types = [_type_code(a.element, a.degree, a.aromatic) for a in mol.atoms]
     torsions: dict[tuple[int, ...], int] = {}
     for b in mol.bonds:
         # Each undirected 4-path arises exactly once: its central bond
@@ -271,7 +327,7 @@ def path_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector
         stable_hash32(TAG_PATH_ATOM, a.element, int(a.aromatic), a.degree)
         for a in mol.atoms
     ]
-    bcode = [b.order.value for b in mol.bonds]
+    bcode = [BOND_CODE[b.order] for b in mol.bonds]
     # Sequence lengths: a path of k bonds has 2k + 1 codes.
     shortest, longest = 2 * cfg.min_path + 1, 2 * cfg.max_path + 1
     paths: dict[tuple[int, ...], int] = {}

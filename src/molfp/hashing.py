@@ -23,10 +23,22 @@ TAG_PATH_ATOM = 6
 TAG_PATH = 7
 
 
+class _Packers(dict):
+    """Tuple length -> the ``pack`` of its precompiled ``struct.Struct``,
+    built on first use."""
+
+    def __missing__(self, n: int):
+        pack = self[n] = struct.Struct(f">{n}q").pack
+        return pack
+
+
+_PACKERS = _Packers()
+
+
 def stable_hash32(*values: int) -> int:
     """Hash a tuple of integers to a 32-bit code.
 
     Values may be negative (formal charges); each is packed as a
     big-endian signed 64-bit integer before the CRC.
     """
-    return zlib.crc32(struct.pack(f">{len(values)}q", *values))
+    return zlib.crc32(_PACKERS[len(values)](*values))

@@ -16,6 +16,7 @@ import re
 from itertools import count
 
 from .chem import (
+    BOND_CODE,
     LOWERCASE_AROMATIC,
     ORGANIC_AROMATIC,
     ORGANIC_ONE,
@@ -267,7 +268,7 @@ class _Cells:
         n = mol.n_atoms
         # Bond codes are scaled by n, so that code + rank orders a
         # neighbour as the pair (code, rank) does.
-        codes = [b.order.value * n for b in mol.bonds]
+        codes = [BOND_CODE[b.order] * n for b in mol.bonds]
         self.nbrs = [[(j, codes[b]) for j, b in row] for row in mol.neighbors]
         by_seed: dict[tuple, list[int]] = {}
         for i, a in enumerate(mol.atoms):
@@ -411,7 +412,7 @@ def _default_h(mol: Molecule, idx: int) -> int | None:
         if order is BondOrder.AROMATIC:
             n_arom += 1
         else:
-            other += order.value
+            other += BOND_CODE[order]
     return default_implicit_h(mol.atoms[idx].element, 0, n_arom, other)
 
 

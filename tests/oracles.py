@@ -13,6 +13,7 @@ import math
 import random
 
 from molfp.chem import Bond, BondOrder, Molecule, MoleculeDraft
+from molfp.hashing import TAG_ATOM_PAIR, TAG_ATOM_TYPE, stable_hash32
 from molfp.smarts import And, Not, Or, Prim, SmartsPattern
 
 
@@ -383,6 +384,24 @@ def atom_pair_feature_count(mol: Molecule, cap: int) -> int:
             if j in dist and 1 <= dist[j] <= cap:
                 count += 1
     return count
+
+
+def atom_pair_tally_oracle(mol: Molecule, cap: int, length: int) -> dict[int, int]:
+    """The atom-pair count vector from all-pairs distances: each pair of
+    heavy atoms at distance 1..cap, keyed (smaller type, distance,
+    larger type), counted at that key's hash modulo ``length``."""
+    types = [
+        stable_hash32(TAG_ATOM_TYPE, a.element, a.degree, int(a.aromatic)) for a in mol.atoms
+    ]
+    dist = shortest_path_matrix(mol)
+    heavy = [i for i in range(mol.n_atoms) if mol.atoms[i].element != 1]
+    counts: dict[int, int] = {}
+    for i, j in itertools.combinations(heavy, 2):
+        if dist[i][j] <= cap:
+            lo, hi = sorted((types[i], types[j]))
+            idx = stable_hash32(TAG_ATOM_PAIR, lo, int(dist[i][j]), hi) % length
+            counts[idx] = counts.get(idx, 0) + 1
+    return counts
 
 
 def torsion_feature_count(mol: Molecule) -> int:

@@ -22,6 +22,7 @@ from molfp import (
     transform_batch,
     write_canonical_smiles,
 )
+from molfp.chem import PERMITTED_VALENCES, symbol_of
 from molfp.cli import main
 from molfp.corpus import synthetic_smiles
 from molfp.fingerprints import FAMILY_ROWS, atom_pair, ecfp
@@ -31,6 +32,7 @@ from molfp.smiles import parse_smiles
 from .oracles import (
     are_isomorphic,
     atom_pair_feature_count,
+    atom_pair_tally_oracle,
     canonical_ranks_oracle,
     ecfp_feature_count,
     path_feature_count,
@@ -289,6 +291,50 @@ class TestLargeMoleculeOracles:
         mol = from_smiles(LARGE[name])
         expected = torsion_feature_count(mol)
         assert _count_total(mol, "topological_torsion") == expected
+
+
+# Elements with no valence rule take any degree in brackets, so a chain
+# of 60 of them has 60 atom types, and its tally at cap 30 is too large
+# for the flat list and goes to the dict.
+MANY_TYPES = "".join(
+    [f"[{symbol_of(e)}]" for e in range(3, 90) if e not in PERMITTED_VALENCES][:60]
+)
+
+
+class TestAtomPairTally:
+    """``atom_pair`` rows equal the all-pairs oracle, count and binary."""
+
+    CAPS = (1, 2, 3, 30)
+    SMALL = (
+        "[H]C([H])([H])O",   # explicit hydrogens: in the walk, in no pair
+        "[H][H]",            # no heavy atom
+        "CC.O",              # no pair across components
+        "[Na+].[Cl-]",
+        "C" * 45,            # a chain longer than every cap
+        "OCCN" * 12,
+        MANY_TYPES,
+    )
+
+    def _check(self, mol):
+        for cap in self.CAPS:
+            expected = atom_pair_tally_oracle(mol, cap, 2048)
+            for variant in ("count", "binary"):
+                cfg = FingerprintConfig(family="atom_pair", variant=variant, distance_cap=cap)
+                row = atom_pair(mol, cfg).entries
+                want = expected if variant == "count" else dict.fromkeys(expected, 1)
+                assert row == want, (mol.source_text, cap, variant)
+
+    def test_small_and_edge_cases(self):
+        for smi in self.SMALL:
+            self._check(from_smiles(smi))
+
+    def test_corpus_sample(self):
+        for smi in random.Random(13).sample(synthetic_smiles(2000, seed=13), 150):
+            self._check(from_smiles(smi))
+
+    def test_large_molecules(self):
+        for g in large_set(13, FULL_LADDER):
+            self._check(from_smiles(to_smiles(g)))
 
 
 def test_long_chain_graph_layers_near_linear():
