@@ -17,9 +17,11 @@ of mutated corpus SMILES; then one line over the canonical SMILES of the
 corpus and the large molecules, and one over their ``canonical_ranks``;
 then one line over the ecfp count rows of the large molecules, and one
 over their atom_pair count rows at each distance cap of 1, 3 and 30;
-last, one line per ``molfp`` command run through ``cli.main`` in a
-temporary directory (see ``cli_lines``), over its exit code, stdout,
-stderr and the files it wrote.
+then one line over the ``bulk_top_k`` hits of 71 queries against the
+corpus ecfp rows (see ``top_k_digest``); last, one line per ``molfp``
+command run through ``cli.main`` in a temporary directory (see
+``cli_lines``), over its exit code, stdout, stderr and the files it
+wrote.
 
 Usage (one source tree against another):
     PYTHONPATH=old/src python scripts/output_digest.py > old.txt
@@ -42,6 +44,8 @@ from molfp import (
     BatchOptions,
     FingerprintConfig,
     Fingerprinter,
+    FingerprintVector,
+    bulk_top_k,
     canonical_ranks,
     cli,
     from_rows,
@@ -153,6 +157,24 @@ def parse_digest(parse, texts: list[str]) -> str:
     return h.hexdigest()
 
 
+def top_k_digest(rows: list[FingerprintVector]) -> str:
+    """Over the repr of ``bulk_top_k``'s hits, both metrics at k of 1, 10
+    and every row, for 50 library members, 20 novel molecules and an
+    empty query, against ``rows`` as one CSR matrix."""
+    db = from_rows(rows, "sparse")
+    fp = fingerprinter("ecfp")
+    members = random.Random(13).sample(range(len(rows)), 50)
+    queries = [rows[i] for i in members]
+    queries += [fp.transform_one(smi) for smi in synthetic_smiles(20, 14)]
+    queries.append(FingerprintVector(db.cols, "binary", {}))
+    h = hashlib.sha256()
+    for query in queries:
+        for metric in ("tanimoto", "dice"):
+            for k in (1, 10, db.rows):
+                h.update(repr(bulk_top_k(query, db, k, metric)).encode() + b"\n")
+    return h.hexdigest()
+
+
 def cli_lines(smiles: list[str]):
     """(digest, label) per ``cli.main`` invocation: compute at jobs 1 and 2
     and canonical, each in raise and skip mode, over 200 corpus records
@@ -236,9 +258,9 @@ def main() -> int:
     u = union([fingerprinter("ecfp", length=1024), fingerprinter("substructure")])
     matrix, _ = transform_batch(smiles, u, BatchOptions())
     print(f"{digest(matrix)}  union ecfp+substructure default output", flush=True)
-    rows = [fingerprinter("ecfp").transform_one(smi) for smi in smiles]
+    ecfp_rows = [fingerprinter("ecfp").transform_one(smi) for smi in smiles]
     for output in ("dense", "sparse"):
-        print(f"{digest(from_rows(rows, output))}  from_rows ecfp {output}", flush=True)
+        print(f"{digest(from_rows(ecfp_rows, output))}  from_rows ecfp {output}", flush=True)
 
     keys = load_key_set(default_key_set_path())
     print(f"{match_digest(smiles, keys)}  match() of {len(keys)} default keys", flush=True)
@@ -268,6 +290,8 @@ def main() -> int:
         rows = [fp.transform_one(smi) for smi in large]
         line = digest(from_rows(rows, "sparse"))
         print(f"{line}  {label} count rows of {len(large)} large molecules", flush=True)
+
+    print(f"{top_k_digest(ecfp_rows)}  bulk_top_k hits of 71 queries", flush=True)
 
     for line, label in cli_lines(smiles):
         print(f"{line}  {label}", flush=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, Mapping
 
 import numpy as np
@@ -48,8 +49,19 @@ class DenseMatrix:
         return self.values.shape[1]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``; ``a`` itself stays writable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(eq=False)
 class CsrMatrix:
+    """Rows of (column, value) entries, columns strictly increasing in
+    each row.  The three arrays are read-only views once the matrix is
+    built, so ``column_index`` cannot go stale."""
+
     rows: int
     cols: int
     dtype: str
@@ -60,9 +72,9 @@ class CsrMatrix:
     def __post_init__(self) -> None:
         if self.dtype not in _NUMPY_DTYPE:
             raise ShapeError(f"unknown dtype {self.dtype!r}")
-        self.indptr = np.asarray(self.indptr, dtype=np.int32)
-        self.indices = np.asarray(self.indices, dtype=np.int32)
-        self.data = np.asarray(self.data, dtype=_NUMPY_DTYPE[self.dtype])
+        self.indptr = _read_only(np.asarray(self.indptr, dtype=np.int32))
+        self.indices = _read_only(np.asarray(self.indices, dtype=np.int32))
+        self.data = _read_only(np.asarray(self.data, dtype=_NUMPY_DTYPE[self.dtype]))
         if self.rows < 0 or self.cols < 0:
             raise ShapeError("negative shape")
         if self.indptr.shape != (self.rows + 1,):
@@ -87,9 +99,29 @@ class CsrMatrix:
             if np.any(self.data == 0):
                 raise ShapeError("stored zero in CSR data")
 
+    def __reduce__(self):
+        # Unpickling goes through __init__, so the arrays come back
+        # read-only and checked, and a built column index is not sent.
+        return CsrMatrix, (self.rows, self.cols, self.dtype, self.indptr, self.indices, self.data)
+
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
+
+    @cached_property
+    def column_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(col_ptr, col_rows)``: the rows that store column ``c``, in
+        ascending order, are ``col_rows[col_ptr[c] : col_ptr[c + 1]]``.
+
+        Built on first use and kept: a stable argsort of ``indices``
+        (which keeps each column's entries in row order), one int32 per
+        stored entry plus ``cols + 1`` offsets.
+        """
+        order = np.argsort(self.indices, kind="stable")
+        entry_rows = np.repeat(np.arange(self.rows, dtype=np.int32), np.diff(self.indptr))
+        col_ptr = np.zeros(self.cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.cols), out=col_ptr[1:])
+        return _read_only(col_ptr), _read_only(entry_rows[order])
 
 
 Matrix = DenseMatrix | CsrMatrix

@@ -49,11 +49,13 @@ METRICS = {"tanimoto": tanimoto, "dice": dice}
 def bulk_top_k(
     query: FingerprintVector, db: CsrMatrix, k: int, metric: str = "tanimoto"
 ) -> list[SimilarityHit]:
-    """Exact top-k scan over the rows of a CSR fingerprint matrix.
+    """Exact top-k search over the rows of a CSR fingerprint matrix.
 
     Count data is binarized (any stored entry counts as presence).
     Returns min(k, rows) hits sorted by descending score, ties broken by
-    ascending row index.
+    ascending row index.  Only the rows that store one of the query's
+    columns are visited, through ``db.column_index`` (built on the
+    first search of a matrix, then reused).
     """
     if metric not in METRICS:
         raise ShapeError(f"unknown metric {metric!r}")
@@ -61,16 +63,15 @@ def bulk_top_k(
         raise ShapeError("bulk_top_k scans CSR matrices; convert dense input first")
     if query.length != db.cols:
         raise ShapeError(f"query length {query.length} != matrix cols {db.cols}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ShapeError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ShapeError("k must be at least 1")
-    mask = np.zeros(db.cols, dtype=bool)
-    qset = list(query.entries)
-    mask[qset] = True
-    q_size = len(qset)
-
-    present = mask[db.indices] if db.nnz else np.zeros(0, dtype=bool)
-    cum = np.concatenate(([0], np.cumsum(present, dtype=np.int64)))
-    inter = cum[db.indptr[1:]] - cum[db.indptr[:-1]]
+    col_ptr, col_rows = db.column_index
+    q_size = len(query.entries)
+    shared = [col_rows[col_ptr[c] : col_ptr[c + 1]] for c in query.entries]
+    # col_rows[:0] gives an empty query one (empty) array to concatenate.
+    inter = np.bincount(np.concatenate([col_rows[:0], *shared]), minlength=db.rows)
     row_nnz = np.diff(db.indptr)
 
     if metric == "tanimoto":
@@ -83,5 +84,9 @@ def bulk_top_k(
     scores[nz] = factor * inter[nz] / denom[nz]
 
     take = min(k, db.rows)
-    order = np.lexsort((np.arange(db.rows), -scores))
-    return [SimilarityHit(int(r), float(scores[r])) for r in order[:take]]
+    # Rows scoring at or above the k-th largest score, ascending.
+    rows = np.arange(db.rows)
+    if take < db.rows:
+        rows = np.flatnonzero(scores >= np.partition(scores, db.rows - take)[db.rows - take])
+    order = rows[np.lexsort((rows, -scores[rows]))][:take]
+    return [SimilarityHit(r, s) for r, s in zip(order.tolist(), scores[order].tolist())]
