@@ -15,9 +15,11 @@ every ``from_smiles`` outcome (the molecule's repr, or the error) on the
 corpus, the 47 large molecules of ``bench/molecules.py`` and a seeded set
 of mutated corpus SMILES; then one line over the canonical SMILES of the
 corpus and the large molecules, and one over their ``canonical_ranks``;
-then one line over the ecfp count rows of the large molecules, and one
-over their atom_pair count rows at each distance cap of 1, 3 and 30;
-then one line over the ``bulk_top_k`` hits of 71 queries against the
+then one line over the ecfp count rows of the large molecules, one
+over their atom_pair count rows at each distance cap of 1, 3 and 30,
+and one over their substructure count rows; then one line over the
+binary and count substructure rows of the corpus for the hand-written
+key set of ``tests/oracles.py``; then one line over the ``bulk_top_k`` hits of 71 queries against the
 corpus ecfp rows (see ``top_k_digest``); last, one line per ``molfp``
 command run through ``cli.main`` in a temporary directory (see
 ``cli_lines``), over its exit code, stdout, stderr and the files it
@@ -58,10 +60,12 @@ from molfp import (
 )
 from molfp.corpus import synthetic_smiles
 from molfp.errors import MolfpError
-from molfp.smarts import MoleculeView, default_key_set_path, load_key_set, match
+from molfp.smarts import MoleculeView, SmartsKey, default_key_set_path, load_key_set, match
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT)]
 from molecules import FULL_LADDER, large_set, to_smiles  # noqa: E402
+from tests.oracles import HAND_KEY_TEXTS  # noqa: E402
 
 FAMILIES = (
     "ecfp",
@@ -285,11 +289,22 @@ def main() -> int:
     for cap in (1, 3, 30):
         cfg = FingerprintConfig(family="atom_pair", variant="count", distance_cap=cap)
         configs.append((f"atom_pair cap={cap}", cfg))
+    configs.append(("substructure", FingerprintConfig(family="substructure", variant="count")))
     for label, cfg in configs:
         fp = Fingerprinter(cfg)
         rows = [fp.transform_one(smi) for smi in large]
         line = digest(from_rows(rows, "sparse"))
         print(f"{line}  {label} count rows of {len(large)} large molecules", flush=True)
+    hand_keys = tuple(
+        SmartsKey(f"H{i:02d}", text, "", parse_smarts(text))
+        for i, text in enumerate(HAND_KEY_TEXTS)
+    )
+    h = hashlib.sha256()
+    for variant in ("binary", "count"):
+        fp = Fingerprinter(FingerprintConfig(family="substructure", variant=variant), hand_keys)
+        matrix, _ = transform_batch(smiles, fp, BatchOptions(), output="sparse")
+        h.update(digest(matrix).encode())
+    print(f"{h.hexdigest()}  substructure rows of {len(hand_keys)} hand-written keys", flush=True)
 
     print(f"{top_k_digest(ecfp_rows)}  bulk_top_k hits of 71 queries", flush=True)
 

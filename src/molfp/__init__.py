@@ -37,6 +37,7 @@ from .errors import (
     FoldError,
     FormatError,
     KeySetError,
+    MatchLimitError,
     MolfpError,
     ParseError,
     RecordError,
@@ -74,6 +75,7 @@ from .matrix import (
 )
 from .similarity import SimilarityHit, bulk_top_k, dice, tanimoto
 from .smarts import (
+    KeySet,
     MatchSet,
     SmartsPattern,
     count_unique,

@@ -316,7 +316,14 @@ def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingIn
     (bonds - atoms + components), as under some atom orders in fused or
     bridged systems, the forest's fundamental cycles complete the basis.
     """
-    adj = _adjacency(n_atoms, bonds)
+    return _perceive_rings(n_atoms, bonds, _adjacency(n_atoms, bonds))
+
+
+def _perceive_rings(
+    n_atoms: int, bonds: list[Bond] | tuple[Bond, ...], adj: list[list[tuple[int, int]]]
+) -> RingInfo:
+    """perceive_rings over ``adj``, the adjacency of ``bonds``, which
+    sanitize builds once for ring perception and for the molecule."""
     n_bonds = len(bonds)
 
     # BFS spanning forest, one tree per component, rooted at its
@@ -513,7 +520,10 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
         if pair in pairs:
             raise ValueError(f"duplicate bond between atoms {b.i} and {b.j}")
         pairs.add(pair)
-    rings = perceive_rings(n, draft.bonds)
+    # Demotion below changes bond orders only, so this adjacency of the
+    # draft's bonds is also the molecule's.
+    adj = _adjacency(n, draft.bonds)
+    rings = _perceive_rings(n, draft.bonds, adj)
 
     bonds = list(draft.bonds)
     n_arom = [0] * n
@@ -542,7 +552,6 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
         if a.aromatic_flag and not atom_in_ring[idx]:
             raise AromaticityError(f"aromatic atom {idx} is not in any ring")
 
-    adj = _adjacency(n, bonds)
     heavy_only = all(a.element != 1 for a in drafts)
     atoms: list[Atom] = []
     total_h: list[int] = []

@@ -45,8 +45,9 @@ class Fingerprinter:
 
     Accepts raw SMILES records as well, converting internally, so it can
     be used standalone on string sequences.  The config is validated
-    and substructure key sets are loaded and parsed at construction: a
-    bad config, key file or empty key set fails here, never mid-batch.
+    and substructure key sets are loaded, parsed and compiled at
+    construction: a bad config, key file or empty key set fails here,
+    never mid-batch.
     The family's row function is looked up in FAMILY_ROWS on each call.
     Descriptors come out as a "real" vector without their exact zeros.
     """

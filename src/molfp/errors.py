@@ -59,6 +59,11 @@ class KeySetError(MolfpError):
     """Substructure key-set file failed to load or compile."""
 
 
+class MatchLimitError(MolfpError):
+    """A SMARTS pattern has more mappings on one molecule than
+    ``smarts.MAX_MAPPINGS``."""
+
+
 class ConfigError(MolfpError):
     """Invalid fingerprint or batch configuration."""
 

@@ -33,9 +33,7 @@ from .hashing import (
     TAG_TORSION,
     stable_hash32,
 )
-from .smarts import (
-    MoleculeView, SmartsKey, count_unique, default_key_set_path, has_match, load_key_set
-)
+from .smarts import KeySet, MoleculeView, SmartsKey, default_key_set_path, load_key_set
 
 N_DESCRIPTORS = 10
 
@@ -349,20 +347,21 @@ def path_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector
 def substructure_fingerprint(
     mol: Molecule, keys: tuple[SmartsKey, ...], variant: str = "binary"
 ) -> FingerprintVector:
-    """One vector position per key: match indicator or unique-match count."""
+    """One vector position per key: match indicator or unique-match count.
+
+    A KeySet is matched through its compiled slots; any other tuple of
+    keys is compiled first, on every call."""
+    keys = _key_set(keys)
+    counts = keys.compiled.row(MoleculeView(mol), count=variant != "binary")
+    return FingerprintVector(len(keys), variant, counts)
+
+
+def _key_set(keys: tuple[SmartsKey, ...]) -> KeySet:
+    """``keys`` compiled, unless they are a KeySet already; an empty key
+    set raises ConfigError."""
     if not keys:
         raise ConfigError("substructure fingerprint needs a non-empty key set")
-    view = MoleculeView(mol)
-    counts: dict[int, int] = {}
-    for pos, key in enumerate(keys):
-        if variant == "binary":
-            if has_match(key.pattern, mol, view):
-                counts[pos] = 1
-        else:
-            c = count_unique(key.pattern, mol, view)
-            if c:
-                counts[pos] = c
-    return FingerprintVector(len(keys), variant, counts)
+    return keys if isinstance(keys, KeySet) else KeySet(keys)
 
 
 def descriptors(mol: Molecule) -> tuple[float, ...]:
@@ -466,16 +465,15 @@ FAMILY_ROWS = {
 
 def resolve_keys(
     cfg: FingerprintConfig, keys: tuple[SmartsKey, ...] | None = None
-) -> tuple[SmartsKey, ...] | None:
-    """A substructure config's keys: ``keys``, else its key file; None
-    for any other family.  An empty key set raises ConfigError."""
+) -> KeySet | None:
+    """A substructure config's compiled keys: ``keys``, else its key
+    file; None for any other family.  An empty key set raises
+    ConfigError."""
     if cfg.family != "substructure":
         return None
     if keys is None:
         keys = load_key_set(cfg.key_set_path or default_key_set_path())
-    if not keys:
-        raise ConfigError("substructure fingerprint needs a non-empty key set")
-    return keys
+    return _key_set(keys)
 
 
 def compute(

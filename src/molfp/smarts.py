@@ -9,11 +9,13 @@ component grouping are rejected as unsupported.
 Matching enumerates injective homomorphisms (pattern bonds must exist
 and match in the target; extra target bonds are allowed) by an
 iterative depth-first search over candidate bitmasks, placing the most
-constrained query atoms first.  Atom and bond expressions are integer
-bitmasks over atoms or bonds, read from a table of per-molecule facts
-filled in one pass (see MoleculeView); a pattern with more atoms than
-the molecule, or with an atom no target atom satisfies, is screened out
-before the search starts.
+constrained query atoms first.  Patterns are compiled together into
+numbered expression slots (see CompiledPatterns), each an integer
+bitmask over atoms or bonds on one molecule: primitives are read from
+a table of per-molecule facts filled in one pass (see MoleculeView),
+composites computed once.  A one-atom pattern is answered from its
+mask; a larger one with more atoms than the molecule, or with an atom
+no target atom satisfies, is screened out before the search starts.
 """
 
 from __future__ import annotations
@@ -30,10 +32,17 @@ from .chem import (
     Molecule,
     atomic_number,
 )
-from .errors import KeySetError, SmartsSyntaxError, UnsupportedPrimitiveError
+from .errors import KeySetError, MatchLimitError, SmartsSyntaxError, UnsupportedPrimitiveError
 
 _BOND_CHARS = set("-=#:~@!&,;")
 _BARE_ATOM_STARTS = ORGANIC_ONE | ORGANIC_AROMATIC | set("*aA")
+
+# The most mappings one pattern may enumerate on one molecule, past
+# which match, count_unique and the count variant raise MatchLimitError:
+# a three-generation neopentyl dendrimer has 4! x (3!)^16 self-matches.
+# Default keys enumerate at most 396 on the seeded corpus and the large
+# benchmark molecules; the two-generation dendrimer's self-matches, 31,104.
+MAX_MAPPINGS = 100_000
 
 
 @dataclass(frozen=True)
@@ -60,21 +69,20 @@ class Or:
 
 
 class MoleculeView:
-    """One molecule's SMARTS expressions evaluated as integer bitmasks.
+    """One molecule's SMARTS primitives as integer bitmasks.
 
     Bit ``i`` of an atom mask is atom ``i``; bit ``b`` of a bond mask is
     bond ``b``.  The constructor makes one pass over the atoms and one
     over the bonds, recording every primitive each one satisfies as a
-    ``(kind, value)`` fact and ORing its bit into that fact's mask.  A
-    primitive's mask is the lookup of its fact, 0 when no atom or bond
-    has it; ``!``, ``&`` and ``,`` are recomputed on each call from
-    their children's masks with ``~``, ``&`` and ``|``.  Callers matching
-    many patterns against one molecule should reuse one view.
+    ``(kind, value)`` fact and ORing its bit into that fact's mask; a
+    primitive no atom or bond has is absent.  CompiledPatterns.masks
+    reads its primitive slots from these tables.  Callers matching many
+    patterns against one molecule should reuse one view.
     """
 
     def __init__(self, mol: Molecule):
-        self.mol = mol
         self.n = mol.n_atoms
+        self.n_bonds = len(mol.bonds)
         self.neighbors = mol.neighbors
         rings = mol.rings
         atom_facts: dict[tuple[str, int | None], int] = {}
@@ -105,30 +113,10 @@ class MoleculeView:
             if in_ring:
                 ring |= 1 << b
         bond_facts = {(order.name.lower(), 0): m for order, m in by_order.items()}
-        bond_facts["any", 0] = (1 << len(mol.bonds)) - 1
+        bond_facts["any", 0] = (1 << self.n_bonds) - 1
         bond_facts["ring", 0] = ring
         self.atom_facts = atom_facts
         self.bond_facts = bond_facts
-
-    def mask(self, expr, bond: bool = False) -> int:
-        """Atoms (or, with ``bond``, bonds) that satisfy ``expr``."""
-        if isinstance(expr, Prim):
-            facts = self.bond_facts if bond else self.atom_facts
-            return facts.get((expr.kind, expr.value), 0)
-        if isinstance(expr, Not):
-            full = (1 << (len(self.mol.bonds) if bond else self.n)) - 1
-            return full & ~self.mask(expr.arg, bond)
-        if isinstance(expr, And):
-            m = -1
-            for arg in expr.args:
-                m &= self.mask(arg, bond)
-            return m
-        if isinstance(expr, Or):
-            m = 0
-            for arg in expr.args:
-                m |= self.mask(arg, bond)
-            return m
-        raise AssertionError(f"bad expression {expr!r}")
 
 
 def _implies_aromatic(expr) -> bool:
@@ -484,11 +472,96 @@ def _assignment_order(pattern: SmartsPattern, amasks: list[int]) -> list[int]:
     return order
 
 
-def _search(
-    pattern: SmartsPattern, view: MoleculeView, first_only: bool
-) -> list[tuple[int, ...]]:
-    """Mappings of the pattern onto the view's molecule, as tuples
-    indexed by query atom; with ``first_only``, at most one.
+class CompiledPatterns:
+    """Patterns compiled together: one numbered slot per distinct
+    expression, so a molecule evaluates each expression once.
+
+    Slots are interned by (context, expression), the context False for
+    an atom expression and True for a bond expression: ``Prim("aromatic")``
+    is an aromatic atom in one and an aromatic bond in the other.  Slots
+    are numbered in post-order, so an operand's slot comes before its
+    composite's.  ``plan[k]`` is pattern k with the slots of its atom
+    expressions and of its bond expressions.
+    """
+
+    def __init__(self, patterns):
+        slots: dict[tuple[bool, object], int] = {}
+        ops: list[tuple[type, bool, object]] = []  # (expression class, context, operand)
+
+        def intern(bond: bool, expr) -> int:
+            key = (bond, expr)
+            if key not in slots:
+                if isinstance(expr, Prim):
+                    arg = (expr.kind, expr.value)
+                elif isinstance(expr, Not):
+                    arg = intern(bond, expr.arg)
+                else:
+                    arg = tuple(intern(bond, a) for a in expr.args)
+                slots[key] = len(ops)
+                ops.append((type(expr), bond, arg))
+            return slots[key]
+
+        self.plan = tuple(
+            (
+                pattern,
+                tuple(intern(False, e) for e in pattern.atom_exprs),
+                tuple(intern(True, e) for e in pattern.bond_exprs),
+            )
+            for pattern in patterns
+        )
+        self.ops = tuple(ops)
+
+    def masks(self, view: MoleculeView) -> list[int]:
+        """Every slot's mask on the view's molecule, in slot order: the
+        atoms (or bonds) that satisfy the slot's expression.  A primitive
+        is a lookup in the view's facts; ``!``, ``&`` and ``,`` combine
+        their operands' masks with ``~``, ``&`` and ``|``."""
+        facts = (view.atom_facts, view.bond_facts)
+        full = ((1 << view.n) - 1, (1 << view.n_bonds) - 1)
+        m: list[int] = []
+        for op, bond, arg in self.ops:
+            if op is Prim:
+                x = facts[bond].get(arg, 0)
+            elif op is Not:
+                x = full[bond] & ~m[arg]
+            elif op is And:
+                x = -1
+                for a in arg:
+                    x &= m[a]
+            else:
+                x = 0
+                for a in arg:
+                    x |= m[a]
+            m.append(x)
+        return m
+
+    def row(self, view: MoleculeView, count: bool) -> dict[int, int]:
+        """Pattern index -> 1 for each pattern that matches (or, with
+        ``count``, its number of distinct matched atom sets), in pattern
+        order; patterns with no match are left out.  A one-atom pattern's
+        distinct atom sets are the set bits of its atom mask."""
+        m = self.masks(view)
+        out = {}
+        for k, (pattern, aslots, bslots) in enumerate(self.plan):
+            if len(aslots) == 1:
+                hits = m[aslots[0]]
+                if hits:
+                    out[k] = hits.bit_count() if count else 1
+            else:
+                found = _search(pattern, aslots, bslots, m, view, not count)
+                if found:
+                    out[k] = len(found)
+        return out
+
+
+def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[int]:
+    """The distinct target atom sets, as bitmasks, of the pattern's
+    mappings onto the view's molecule, given the slots of its atom and
+    bond expressions and the slot masks ``m``; with ``first_only``, stops
+    at the first mapping.  Each mapping is also appended to ``mappings``,
+    when given, as a tuple indexed by query atom.  Raises MatchLimitError
+    past MAX_MAPPINGS mappings.  A pattern with more atoms than the
+    molecule, or with an atom no target atom satisfies, has none.
 
     Depth-first search over candidate bitmasks (Ullmann, J. ACM 23:31,
     1976; VF2, Cordella et al., IEEE TPAMI 26:1367, 2004) on an explicit
@@ -503,12 +576,10 @@ def _search(
     that search's order.
     """
     qn = pattern.n_atoms
-    if qn > view.n:
-        return []
-    amasks = [view.mask(e) for e in pattern.atom_exprs]
-    if not all(amasks):
-        return []
-    bmasks = [view.mask(e, bond=True) for e in pattern.bond_exprs]
+    amasks = [m[s] for s in aslots]
+    if qn > view.n or not all(amasks):
+        return set()
+    bmasks = [m[s] for s in bslots]
     order = _assignment_order(pattern, amasks)
     # Per step: the atom mask and (placed query atom, bond mask) per pattern bond back.
     steps: list[tuple[int, list[tuple[int, int]]]] = []
@@ -519,7 +590,8 @@ def _search(
         placed.add(q)
     neighbors = view.neighbors
     assignment = [-1] * qn
-    results: list[tuple[int, ...]] = []
+    found: set[int] = set()
+    enumerated = 0
     used = 0
     stack = [amasks[order[0]]]
     while stack:
@@ -534,7 +606,15 @@ def _search(
         stack[step] = cands ^ bit
         assignment[order[step]] = bit.bit_length() - 1
         if step + 1 == qn:
-            results.append(tuple(assignment))
+            enumerated += 1
+            if enumerated > MAX_MAPPINGS:
+                raise MatchLimitError(
+                    f"pattern {pattern.text!r} has more than {MAX_MAPPINGS} "
+                    "mappings on this molecule"
+                )
+            found.add(used | bit)
+            if mappings is not None:
+                mappings.append(tuple(assignment))
             if first_only:
                 break
             continue
@@ -548,34 +628,27 @@ def _search(
                     reach |= 1 << t
             cands &= reach
         stack.append(cands)
-    return results
+    return found
 
 
 def match(pattern: SmartsPattern, mol: Molecule, view: MoleculeView | None = None) -> MatchSet:
     """Enumerate all injective matches of a pattern in a molecule."""
-    if view is None:
-        view = MoleculeView(mol)
-    mappings = _search(pattern, view, first_only=False)
-    seen: set[frozenset[int]] = set()
-    unique: list[frozenset[int]] = []
-    for m in mappings:
-        s = frozenset(m)
-        if s not in seen:
-            seen.add(s)
-            unique.append(s)
-    return MatchSet(mappings=tuple(mappings), unique_atom_sets=tuple(unique))
+    view = view or MoleculeView(mol)
+    compiled = CompiledPatterns((pattern,))
+    mappings: list[tuple[int, ...]] = []
+    _search(*compiled.plan[0], compiled.masks(view), view, False, mappings)
+    unique = tuple(dict.fromkeys(map(frozenset, mappings)))
+    return MatchSet(mappings=tuple(mappings), unique_atom_sets=unique)
 
 
 def has_match(pattern: SmartsPattern, mol: Molecule, view: MoleculeView | None = None) -> bool:
     """True when at least one mapping exists; stops at the first."""
-    if view is None:
-        view = MoleculeView(mol)
-    return bool(_search(pattern, view, first_only=True))
+    return bool(CompiledPatterns((pattern,)).row(view or MoleculeView(mol), count=False))
 
 
 def count_unique(pattern: SmartsPattern, mol: Molecule, view: MoleculeView | None = None) -> int:
     """Number of distinct matched target-atom sets."""
-    return len(match(pattern, mol, view).unique_atom_sets)
+    return CompiledPatterns((pattern,)).row(view or MoleculeView(mol), count=True).get(0, 0)
 
 
 @dataclass(frozen=True)
@@ -586,7 +659,21 @@ class SmartsKey:
     pattern: SmartsPattern
 
 
-def load_key_set(path: str | Path) -> tuple[SmartsKey, ...]:
+class KeySet(tuple):
+    """A tuple of SmartsKeys whose patterns are compiled once, into one
+    CompiledPatterns (``compiled``), when the key set is built.  The
+    compiled form is pickled with the keys, so pool workers reuse it."""
+
+    def __new__(cls, keys, compiled: CompiledPatterns | None = None):
+        self = super().__new__(cls, keys)
+        self.compiled = compiled or CompiledPatterns([key.pattern for key in self])
+        return self
+
+    def __reduce__(self):
+        return KeySet, (tuple(self), self.compiled)
+
+
+def load_key_set(path: str | Path) -> KeySet:
     """Load and compile a key-set file.
 
     Format: one record per line, ``<key_id><TAB><smarts><TAB><description>``;
@@ -620,7 +707,7 @@ def load_key_set(path: str | Path) -> tuple[SmartsKey, ...]:
         keys.append(SmartsKey(key_id, smarts_text, description, pattern))
     if not keys:
         raise KeySetError(f"{path}: key set is empty")
-    return tuple(keys)
+    return KeySet(keys)
 
 
 def default_key_set_path() -> Path:

@@ -14,7 +14,7 @@ import random
 
 from molfp.chem import Bond, BondOrder, Molecule, MoleculeDraft
 from molfp.hashing import TAG_ATOM_PAIR, TAG_ATOM_TYPE, stable_hash32
-from molfp.smarts import And, Not, Or, Prim, SmartsPattern
+from molfp.smarts import And, MoleculeView, Not, Or, Prim, SmartsPattern
 
 
 # ---------------------------------------------------------------- cycles
@@ -328,6 +328,116 @@ def brute_force_matches(pattern: SmartsPattern, mol: Molecule) -> set[tuple[int,
         if ok:
             found.add(combo)
     return found
+
+
+# A hand-written SMARTS key set for checking the substructure family:
+# repeated subexpressions, nested !/&/, operators, "aromatic" and its
+# negation as both atom and bond expressions, one-atom keys with several
+# matched atoms, a chain of 34 atoms (more than any seed-13 corpus
+# molecule has) and keys no atom satisfies.
+HAND_KEY_TEXTS = (
+    "[C,N;R]",
+    "[C,N;!R]",
+    "[C,N;R]~[C,N;R]",
+    "[!#6;!#1]",
+    "[!#6;!#1]~[!#6;!#1]",
+    "[!!C]",
+    "[!C&!N,O;!R0&D2,D3]",
+    "[C&!R,N&R;!D3]-,=[#6,!#7]",
+    "a",
+    "a:a",
+    "[!a]",
+    "[!a]!:[!a]",
+    "a!:a",
+    "[a,C]",
+    "c1ccccc1",
+    "C~C~C",
+    "[CH3]",
+    "*~" * 33 + "*",
+    "[#6;!#6]",
+    "[Xe]",
+    "C!@C!@[C,N;!R]",
+    "[R2]@[R2]",
+)
+
+
+def tree_mask(view: MoleculeView, expr, bond: bool = False) -> int:
+    """Atoms (or, with ``bond``, bonds) that satisfy ``expr``, by a
+    recursive walk that reads each primitive from the view's fact
+    tables and recomputes ``!``, ``&`` and ``,`` on every call: the
+    evaluator that compiled expression slots replaced."""
+    if isinstance(expr, Prim):
+        facts = view.bond_facts if bond else view.atom_facts
+        return facts.get((expr.kind, expr.value), 0)
+    if isinstance(expr, Not):
+        full = (1 << (view.n_bonds if bond else view.n)) - 1
+        return full & ~tree_mask(view, expr.arg, bond)
+    if isinstance(expr, And):
+        m = -1
+        for arg in expr.args:
+            m &= tree_mask(view, arg, bond)
+        return m
+    if isinstance(expr, Or):
+        m = 0
+        for arg in expr.args:
+            m |= tree_mask(view, arg, bond)
+        return m
+    raise AssertionError(expr)
+
+
+def substructure_row_oracle(mol: Molecule, keys, variant: str) -> dict[int, int]:
+    """A substructure row by one search per key, as the family computed
+    it before its keys were compiled together: key position -> 1 (binary)
+    or the number of distinct matched atom sets (count).
+
+    Each key's masks come from ``tree_mask``; a recursive backtracking
+    search then places the query atoms in pattern order, each one among
+    the neighbours of the target of an earlier query atom bonded to it,
+    and collects the matched atom sets; binary stops at the first."""
+    view = MoleculeView(mol)
+    bond_of = {}
+    for bidx, b in enumerate(mol.bonds):
+        bond_of[b.i, b.j] = bond_of[b.j, b.i] = bidx
+    row = {}
+    for pos, key in enumerate(keys):
+        pattern = key.pattern
+        qn = pattern.n_atoms
+        amasks = [tree_mask(view, e) for e in pattern.atom_exprs]
+        bmasks = [tree_mask(view, e, bond=True) for e in pattern.bond_exprs]
+        back = [[] for _ in range(qn)]  # (earlier query atom, pattern bond)
+        for bpos, (qi, qj) in enumerate(pattern.bond_list):
+            back[max(qi, qj)].append((min(qi, qj), bpos))
+        assign: list[int] = []
+        found: set[frozenset[int]] = set()
+
+        def extend(q: int) -> bool:
+            if q == qn:
+                found.add(frozenset(assign))
+                return variant == "binary"
+            if back[q]:
+                cands = [t for t, _ in mol.neighbors[assign[back[q][0][0]]]]
+            else:
+                cands = range(mol.n_atoms)
+            for t in cands:
+                if t in assign or not amasks[q] >> t & 1:
+                    continue
+                if any(
+                    bond_of.get((assign[other], t)) is None
+                    or not bmasks[bpos] >> bond_of[assign[other], t] & 1
+                    for other, bpos in back[q]
+                ):
+                    continue
+                assign.append(t)
+                done = extend(q + 1)
+                assign.pop()
+                if done:
+                    return True
+            return False
+
+        extend(0)
+        if found:
+            row[pos] = 1 if variant == "binary" else len(found)
+    return row
 
 
 # ----------------------------------------------------- feature counting

@@ -21,6 +21,7 @@ from molfp import (
 from molfp.cli import main, read_smi
 
 from .oracles import are_isomorphic
+from .test_smarts import DENDRIMER_2, DENDRIMER_3
 
 
 @pytest.fixture()
@@ -167,6 +168,22 @@ class TestCompute:
         lines = (tmp_path / "out.mat.errors.tsv").read_text().splitlines()
         assert lines[0] == "index\tline\terror"
         assert lines[1].startswith("1\t2\tValenceError")
+
+    def test_enumeration_cap_skips_record(self, tmp_path):
+        # The two-generation dendrimer key maps 31,104 ways onto itself
+        # and 155,520 ways onto the three-generation record.
+        src = tmp_path / "in.smi"
+        src.write_text(f"CCO a\n{DENDRIMER_3} b\n{DENDRIMER_2} c\n")
+        keys = tmp_path / "keys.smarts"
+        keys.write_text(f"K1\t{DENDRIMER_2}\tdendrimer\n")
+        out = tmp_path / "out.mat"
+        argv = ["compute", str(src), str(out), "--fingerprint", "substructure",
+                "--variant", "count", "--key-set", str(keys), "--on-error", "skip"]
+        assert main(argv) == 0
+        assert load(out).values.tolist() == [[0], [1]]
+        lines = (tmp_path / "out.mat.errors.tsv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("1\t2\tMatchLimitError")
 
     def test_all_records_fail_in_skip_mode(self, tmp_path):
         bad = tmp_path / "bad.smi"

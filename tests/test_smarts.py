@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 import string
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molfp import (
+    BatchOptions,
+    FingerprintConfig,
+    Fingerprinter,
+    KeySet,
     KeySetError,
+    MatchLimitError,
     MolfpError,
     SmartsSyntaxError,
     UnsupportedPrimitiveError,
@@ -22,18 +31,34 @@ from molfp import (
     match,
     parse_smarts,
     sanitize,
+    substructure_fingerprint,
+    transform_batch,
 )
 from molfp.corpus import synthetic_smiles
-from molfp.smarts import And, MoleculeView, Not, Or, Prim
+from molfp.smarts import (
+    MAX_MAPPINGS,
+    And,
+    CompiledPatterns,
+    MoleculeView,
+    Not,
+    Or,
+    Prim,
+    SmartsKey,
+)
 from molfp.smiles import parse_smiles
 
 from .oracles import (
+    HAND_KEY_TEXTS,
     brute_force_matches,
     eval_atom_expr,
     eval_bond_expr,
     permute_draft,
     random_permutation,
+    substructure_row_oracle,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from molecules import FULL_LADDER, large_set, to_smiles  # noqa: E402
 
 ORACLE_PATTERNS = [
     "[OX2H]",
@@ -219,6 +244,12 @@ class TestOracleAgreement:
                 assert ours == theirs
 
 
+def _slot_masks(pats, mol):
+    """The patterns compiled together, and their slot masks on ``mol``."""
+    compiled = CompiledPatterns(pats)
+    return compiled, compiled.masks(MoleculeView(mol))
+
+
 class TestMasks:
     def test_masks_match_tree_walk(self):
         pats = [k.pattern for k in load_key_set(default_key_set_path())]
@@ -230,33 +261,68 @@ class TestMasks:
                 "[D2]", "[A]", "[R0]", "[r]", "[se]", "[-]", "C#C", "C=C",
             )
         ]
-        atom_exprs = dict.fromkeys(e for p in pats for e in p.atom_exprs)
-        bond_exprs = dict.fromkeys(e for p in pats for e in p.bond_exprs)
+        compiled = CompiledPatterns(pats)
+        # Each (expression, slot) pair once: a slot shared by two
+        # expressions is checked against both.
+        atom_slots = dict.fromkeys(
+            pair for p, aslots, _ in compiled.plan for pair in zip(p.atom_exprs, aslots)
+        )
+        bond_slots = dict.fromkeys(
+            pair for p, _, bslots in compiled.plan for pair in zip(p.bond_exprs, bslots)
+        )
         # "C" has one atom and no bonds: negated bond prims run over nothing.
         for smi in synthetic_smiles(150, seed=13) + ["C"]:
             mol = from_smiles(smi)
-            view = MoleculeView(mol)
+            masks = compiled.masks(MoleculeView(mol))
             n_bonds = len(mol.bonds)
-            for e in atom_exprs:
-                m = view.mask(e)
+            for e, slot in atom_slots:
+                m = masks[slot]
                 assert m >> mol.n_atoms == 0, (smi, e)
                 for i in range(mol.n_atoms):
                     assert bool(m >> i & 1) == eval_atom_expr(e, mol, i), (smi, e, i)
-            for e in bond_exprs:
-                m = view.mask(e, bond=True)
+            for e, slot in bond_slots:
+                m = masks[slot]
                 assert m >> n_bonds == 0, (smi, e)
                 for b in range(n_bonds):
                     assert bool(m >> b & 1) == eval_bond_expr(e, mol, b), (smi, e, b)
 
     def test_negated_bond_prim_without_bonds(self):
-        view = MoleculeView(from_smiles("C"))
-        assert view.mask(Not(Prim("ring")), bond=True) == 0
-        assert view.mask(Not(Prim("in_ring"))) == 1
+        compiled, masks = _slot_masks([parse_smarts("[!R]!@[!R]")], from_smiles("C"))
+        _, aslots, bslots = compiled.plan[0]
+        assert masks[bslots[0]] == 0
+        assert masks[aslots[0]] == 1
 
     def test_atom_and_bond_masks_cached_apart(self):
-        view = MoleculeView(from_smiles("c1ccc2ccccc2c1"))  # 10 atoms, 11 bonds
-        assert view.mask(Prim("aromatic")) == (1 << 10) - 1
-        assert view.mask(Prim("aromatic"), bond=True) == (1 << 11) - 1
+        mol = from_smiles("c1ccc2ccccc2c1")  # 10 atoms, 11 bonds
+        compiled, masks = _slot_masks([parse_smarts("a:a")], mol)
+        _, aslots, bslots = compiled.plan[0]
+        assert aslots[0] == aslots[1] != bslots[0]
+        assert masks[aslots[0]] == (1 << 10) - 1
+        assert masks[bslots[0]] == (1 << 11) - 1
+
+    def test_each_expression_one_slot(self):
+        pats = [k.pattern for k in load_key_set(default_key_set_path())]
+        compiled = CompiledPatterns(pats)
+
+        def subexprs(e):
+            yield e
+            if not isinstance(e, Prim):
+                for arg in (e.arg,) if isinstance(e, Not) else e.args:
+                    yield from subexprs(arg)
+
+        distinct = {(False, s) for p in pats for e in p.atom_exprs for s in subexprs(e)}
+        distinct |= {(True, s) for p in pats for e in p.bond_exprs for s in subexprs(e)}
+        assert len(compiled.ops) == len(distinct)
+        # Post-order: a composite's operands have lower slots, in its context.
+        for slot, (op, bond, arg) in enumerate(compiled.ops):
+            if op is not Prim:
+                operands = (arg,) if op is Not else arg
+                assert all(a < slot and compiled.ops[a][1] == bond for a in operands)
+        atom = {s for _, aslots, _ in compiled.plan for s in aslots}
+        bond = {s for _, _, bslots in compiled.plan for s in bslots}
+        assert not atom & bond
+        assert len(atom) == len({e for p in pats for e in p.atom_exprs})
+        assert len(bond) == len({e for p in pats for e in p.bond_exprs})
 
     def test_pattern_larger_than_molecule(self):
         for text, smi in (("CCC", "CC"), ("*~*", "C")):
@@ -264,6 +330,120 @@ class TestMasks:
             assert not has_match(pat, mol)
             assert match(pat, mol).mappings == ()
             assert brute_force_matches(pat, mol) == set()
+
+
+def _keys(texts):
+    return tuple(
+        SmartsKey(f"H{i:02d}", text, "", parse_smarts(text)) for i, text in enumerate(texts)
+    )
+
+
+HAND_KEYS = _keys(HAND_KEY_TEXTS)
+
+
+class TestCompiledKeySet:
+    """The family's rows equal one search per key (the oracle), binary
+    and count."""
+
+    def _check(self, mols, keys):
+        key_set = KeySet(keys)
+        for mol in mols:
+            for variant in ("binary", "count"):
+                got = substructure_fingerprint(mol, key_set, variant).entries
+                want = substructure_row_oracle(mol, keys, variant)
+                assert got == want, (mol.source_text, variant)
+
+    def test_corpus_sample(self):
+        smiles = random.Random(13).sample(synthetic_smiles(2000, seed=13), 300)
+        mols = [from_smiles(smi) for smi in smiles]
+        self._check(mols, tuple(load_key_set(default_key_set_path())))
+        self._check(mols, HAND_KEYS)
+
+    def test_large_molecules(self):
+        mols = [from_smiles(to_smiles(g)) for g in large_set(13, FULL_LADDER)]
+        assert len(mols) == 47
+        self._check(mols, tuple(load_key_set(default_key_set_path())))
+        # The 34-atom chain has more than MAX_MAPPINGS mappings on the
+        # polyaromatics; a 12-atom one has at most 15,412.
+        chain = _keys(["*~" * 11 + "*"])
+        self._check(mols, tuple(k for k in HAND_KEYS if k.pattern.n_atoms < 34) + chain)
+
+    def test_hand_written_keys_on_small_molecules(self):
+        smiles = ["C", "CC", "CCO", "c1ccccc1", "c1ccc2ccccc2c1", "C1CC1CN", "OC(=O)c1ccncc1"]
+        self._check([from_smiles(smi) for smi in smiles], HAND_KEYS)
+
+    def test_one_atom_count_is_its_atoms(self):
+        mol = from_smiles("OCC(O)CO")
+        keys = _keys(["[OX2H]", "C", "[#6,#8]"])
+        assert substructure_fingerprint(mol, keys, "count").entries == {0: 3, 1: 3, 2: 6}
+        assert substructure_fingerprint(mol, keys, "binary").entries == {0: 1, 1: 1, 2: 1}
+
+    def test_plain_tuple_and_key_set_agree(self):
+        keys = load_key_set(default_key_set_path())
+        assert isinstance(keys, KeySet) and keys == tuple(keys)
+        for smi in synthetic_smiles(50, seed=13):
+            mol = from_smiles(smi)
+            for variant in ("binary", "count"):
+                assert (
+                    substructure_fingerprint(mol, tuple(keys), variant)
+                    == substructure_fingerprint(mol, keys, variant)
+                )
+
+    def test_compiled_form_travels_with_the_keys(self):
+        keys = load_key_set(default_key_set_path())
+        clone = pickle.loads(pickle.dumps(keys))
+        assert isinstance(clone, KeySet) and clone == keys
+        assert clone.compiled.plan == keys.compiled.plan
+        assert clone.compiled.ops == keys.compiled.ops
+        fp = Fingerprinter(FingerprintConfig(family="substructure"))
+        assert isinstance(fp.keys, KeySet)
+        assert isinstance(pickle.loads(pickle.dumps(fp)).keys, KeySet)
+
+
+DENDRIMER_2 = "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
+_ARM = "C(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
+DENDRIMER_3 = f"C({_ARM})({_ARM})({_ARM}){_ARM}"
+
+
+class TestEnumerationCap:
+    """One pattern enumerates at most MAX_MAPPINGS mappings per molecule."""
+
+    def test_cap_above_two_generation_self_match(self):
+        pat, mol = parse_smarts(DENDRIMER_2), from_smiles(DENDRIMER_2)
+        assert len(match(pat, mol).mappings) == 31_104 < MAX_MAPPINGS
+        assert count_unique(pat, mol) == 1
+        row = substructure_fingerprint(mol, _keys([DENDRIMER_2]), "count")
+        assert row.entries == {0: 1}
+
+    def test_three_generation_self_match_hits_cap(self):
+        pat, mol = parse_smarts(DENDRIMER_3), from_smiles(DENDRIMER_3)
+        assert mol.n_atoms == 53
+        start = time.perf_counter()
+        for fn in (match, count_unique):
+            with pytest.raises(MatchLimitError, match="more than"):
+                fn(pat, mol)
+        with pytest.raises(MatchLimitError):
+            substructure_fingerprint(mol, _keys([DENDRIMER_3]), "count")
+        assert has_match(pat, mol)
+        assert substructure_fingerprint(mol, _keys([DENDRIMER_3])).entries == {0: 1}
+        assert time.perf_counter() - start < 15.0
+
+    def test_batch_reports_the_record(self):
+        fp = Fingerprinter(
+            FingerprintConfig(family="substructure", variant="count"),
+            keys=_keys(["[OX2H]", DENDRIMER_3]),
+        )
+        records = ["CCO", DENDRIMER_3, DENDRIMER_2, "OCCO"]
+        start = time.perf_counter()
+        with pytest.raises(MatchLimitError) as exc:
+            transform_batch(records, fp, BatchOptions(jobs=1))
+        assert exc.value.record_index == 1
+        matrix, report = transform_batch(
+            records, fp, BatchOptions(jobs=1, error_mode="skip"), output="sparse"
+        )
+        assert report.n_ok == 3 and matrix.rows == 3
+        assert [(i, kind) for i, kind, _ in report.failures] == [(1, "MatchLimitError")]
+        assert time.perf_counter() - start < 15.0
 
 
 class TestKeySet:
