@@ -17,7 +17,9 @@ of mutated corpus SMILES; then one line over the canonical SMILES of the
 corpus and the large molecules, and one over their ``canonical_ranks``;
 then one line over the ecfp count rows of the large molecules, one
 over their atom_pair count rows at each distance cap of 1, 3 and 30,
-and one over their substructure count rows; then one line over the
+and one over their substructure count rows; then one line per path
+(min_path, max_path) of (1, 1), (2, 4) and (1, 10), variant and set
+(corpus, large molecules) over those rows; then one line over the
 binary and count substructure rows of the corpus for the hand-written
 key set of ``tests/oracles.py``; then one line over the ``bulk_top_k`` hits of 71 queries against the
 corpus ecfp rows (see ``top_k_digest``); last, one line per ``molfp``
@@ -295,6 +297,14 @@ def main() -> int:
         rows = [fp.transform_one(smi) for smi in large]
         line = digest(from_rows(rows, "sparse"))
         print(f"{line}  {label} count rows of {len(large)} large molecules", flush=True)
+    for lo, hi in ((1, 1), (2, 4), (1, 10)):
+        for variant in ("binary", "count"):
+            fp = Fingerprinter(
+                FingerprintConfig(family="path", variant=variant, min_path=lo, max_path=hi)
+            )
+            for name, texts in (("corpus", smiles), ("large", large)):
+                line = digest(from_rows([fp.transform_one(smi) for smi in texts], "sparse"))
+                print(f"{line}  path {lo}..{hi} {variant} rows of {name}", flush=True)
     hand_keys = tuple(
         SmartsKey(f"H{i:02d}", text, "", parse_smarts(text))
         for i, text in enumerate(HAND_KEY_TEXTS)

@@ -10,10 +10,13 @@ record presence, count variants record multiplicity.
 from __future__ import annotations
 
 import math
+import struct
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress
+from zlib import crc32
 
 from .chem import (
     BOND_CODE,
@@ -31,6 +34,7 @@ from .hashing import (
     TAG_PATH,
     TAG_PATH_ATOM,
     TAG_TORSION,
+    hash_seed,
     stable_hash32,
 )
 from .smarts import KeySet, MoleculeView, SmartsKey, default_key_set_path, load_key_set
@@ -115,17 +119,24 @@ def _from_counts(counts: dict[int, int], length: int, variant: str) -> Fingerpri
     return FingerprintVector(length, "count", dict(counts))
 
 
+def _fold(
+    codes: Iterable[int], ns: Iterable[int], cfg: FingerprintConfig
+) -> FingerprintVector:
+    """Fold 32-bit feature codes into a vector: each count in ``ns``
+    lands at its code modulo the length."""
+    counts: dict[int, int] = {}
+    for code, n in zip(codes, ns):
+        idx = code % cfg.length
+        counts[idx] = counts.get(idx, 0) + n
+    return _from_counts(counts, cfg.length, cfg.variant)
+
+
 def _hashed(
     tally: dict[tuple[int, ...], int], tag: int, cfg: FingerprintConfig
 ) -> FingerprintVector:
-    """Fold a tally of feature tuples into a vector: each distinct tuple
-    is hashed once under ``tag``, and its count lands at that hash
-    modulo the length."""
-    counts: dict[int, int] = {}
-    for key, n in tally.items():
-        idx = stable_hash32(tag, *key) % cfg.length
-        counts[idx] = counts.get(idx, 0) + n
-    return _from_counts(counts, cfg.length, cfg.variant)
+    """Fold a tally of feature tuples into a vector, each distinct tuple
+    hashed once under ``tag``."""
+    return _fold([stable_hash32(tag, *key) for key in tally], tally.values(), cfg)
 
 
 def _circular(mol: Molecule, cfg: FingerprintConfig, seeds: list[int]) -> FingerprintVector:
@@ -312,36 +323,71 @@ def topological_torsion(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVec
     return _hashed(torsions, TAG_TORSION, cfg)
 
 
+@lru_cache(maxsize=4096)
+def _path_atom_code(element: int, aromatic: bool, degree: int) -> int:
+    """Atom code of the path family."""
+    return stable_hash32(TAG_PATH_ATOM, element, int(aromatic), degree)
+
+
+_PATH_SEED = hash_seed(TAG_PATH)
+_pack_code = struct.Struct(">q").pack
+_pack_pair = struct.Struct(">qq").pack
+
+
 def path_fingerprint(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     """Hash simple bond paths of min_path..max_path bonds as alternating
     (atom code, bond code) sequences, oriented by the smaller of the
     sequence and its reverse, one feature per path.
 
-    One depth-first search per start atom extends each path by a bond
-    and an atom.  Each undirected path is kept from its smaller end
-    atom, and each distinct oriented sequence is hashed once.
+    Each undirected path is generated once, from its parent: the same
+    path without its larger end atom.  The roots are the one-bond paths
+    (x, z) with x < z; a path with ends x ... y grows at y by an atom z
+    only when z > x, and at x by z only when z > y.  A depth-first
+    search over an explicit stack carries each path's codes as packed
+    ``>q`` bytes in both orientations, x to y and y to x; growing
+    appends to one and prepends to the other, from two byte strings
+    packed once per neighbour entry.  Every code is a non-negative
+    integer below 2^63 (atom codes are CRC-32 values, bond codes 1-4), and
+    fixed-width big-endian bytes sort like the integers they encode, so
+    the smaller byte string is ``min(seq, seq[::-1])``.  Each distinct
+    oriented string is hashed once as ``zlib.crc32(key, hash_seed(TAG_PATH))``,
+    which is ``stable_hash32(TAG_PATH, *seq)``.
     """
-    acode = [
-        stable_hash32(TAG_PATH_ATOM, a.element, int(a.aromatic), a.degree)
-        for a in mol.atoms
-    ]
+    acode = [_path_atom_code(a.element, a.aromatic, a.degree) for a in mol.atoms]
     bcode = [BOND_CODE[b.order] for b in mol.bonds]
-    # Sequence lengths: a path of k bonds has 2k + 1 codes.
-    shortest, longest = 2 * cfg.min_path + 1, 2 * cfg.max_path + 1
-    paths: dict[tuple[int, ...], int] = {}
-    for start in range(mol.n_atoms):
-        # (end atom, bitmask of the atoms on the path, code sequence)
-        stack = [(start, 1 << start, (acode[start],))]
+    # Per neighbour entry: (atom, its bit, bytes appended at y, bytes prepended at x).
+    grow = [
+        [
+            (z, 1 << z, _pack_pair(bcode[b], acode[z]), _pack_pair(acode[z], bcode[b]))
+            for z, b in nbrs
+        ]
+        for nbrs in mol.neighbors
+    ]
+    # Byte lengths: a path of k bonds packs 2k + 1 codes of 8 bytes.
+    shortest, longest = 8 * (2 * cfg.min_path + 1), 8 * (2 * cfg.max_path + 1)
+    paths: dict[bytes, int] = {}
+    for root, entries in enumerate(grow):
+        code = _pack_code(acode[root])
+        # (end x, end y, bitmask of the atoms on the path, codes x..y, codes y..x)
+        stack = [
+            (root, z, 1 << root | bit, code + app, pre + code)
+            for z, bit, app, pre in entries
+            if z > root
+        ]
         while stack:
-            end, on_path, seq = stack.pop()
-            if start < end and len(seq) >= shortest:
-                canon = min(seq, seq[::-1])
-                paths[canon] = paths.get(canon, 0) + 1
-            if len(seq) < longest:
-                for nbr, bidx in mol.neighbors[end]:
-                    if not on_path >> nbr & 1:
-                        stack.append((nbr, on_path | 1 << nbr, seq + (bcode[bidx], acode[nbr])))
-    return _hashed(paths, TAG_PATH, cfg)
+            x, y, on_path, fwd, rev = stack.pop()
+            size = len(fwd)
+            if size >= shortest:
+                key = fwd if fwd <= rev else rev
+                paths[key] = paths.get(key, 0) + 1
+            if size < longest:
+                for z, bit, app, pre in grow[y]:
+                    if z > x and not on_path & bit:
+                        stack.append((x, z, on_path | bit, fwd + app, pre + rev))
+                for z, bit, app, pre in grow[x]:
+                    if z > y and not on_path & bit:
+                        stack.append((z, y, on_path | bit, pre + fwd, rev + app))
+    return _fold([crc32(key, _PATH_SEED) for key in paths], paths.values(), cfg)
 
 
 def substructure_fingerprint(

@@ -4,7 +4,11 @@ Every hashed fingerprint family routes its feature tuples through
 :func:`stable_hash32` so that outputs are byte-identical across runs,
 processes, and platforms.  The hash is CRC-32 over a fixed big-endian
 serialization of the integer tuple; it is non-cryptographic and only
-needs good dispersion modulo the vector length.
+needs good dispersion modulo the vector length.  :func:`hash_seed`
+gives the CRC state after a fixed prefix of values, so that a family
+that keeps its feature codes as packed bytes can hash them as
+``zlib.crc32(packed, hash_seed(tag))``, which is ``stable_hash32(tag,
+*codes)``.
 """
 
 from __future__ import annotations
@@ -42,3 +46,14 @@ def stable_hash32(*values: int) -> int:
     big-endian signed 64-bit integer before the CRC.
     """
     return zlib.crc32(_PACKERS[len(values)](*values))
+
+
+def hash_seed(*prefix: int) -> int:
+    """The CRC state after ``prefix``:
+    ``zlib.crc32(pack(suffix), hash_seed(*prefix))`` equals
+    ``stable_hash32(*prefix, *suffix)`` for ``pack`` the same ``>q``
+    serialization.  CRC-32 is a streaming checksum, and ``zlib.crc32``'s
+    second argument resumes it from an earlier result, so hashing the
+    prefix bytes and then the suffix bytes is hashing their concatenation.
+    """
+    return stable_hash32(*prefix)

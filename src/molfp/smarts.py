@@ -561,7 +561,9 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
     at the first mapping.  Each mapping is also appended to ``mappings``,
     when given, as a tuple indexed by query atom.  Raises MatchLimitError
     past MAX_MAPPINGS mappings.  A pattern with more atoms than the
-    molecule, or with an atom no target atom satisfies, has none.
+    molecule, or with an atom no target atom satisfies, has none; so has
+    one with more bonds than the molecule, or with a bond no target bond
+    satisfies.
 
     Depth-first search over candidate bitmasks (Ullmann, J. ACM 23:31,
     1976; VF2, Cordella et al., IEEE TPAMI 26:1367, 2004) on an explicit
@@ -580,6 +582,8 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
     if qn > view.n or not all(amasks):
         return set()
     bmasks = [m[s] for s in bslots]
+    if len(bmasks) > view.n_bonds or not all(bmasks):
+        return set()
     order = _assignment_order(pattern, amasks)
     # Per step: the atom mask and (placed query atom, bond mask) per pattern bond back.
     steps: list[tuple[int, list[tuple[int, int]]]] = []

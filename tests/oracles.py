@@ -13,7 +13,7 @@ import math
 import random
 
 from molfp.chem import Bond, BondOrder, Molecule, MoleculeDraft
-from molfp.hashing import TAG_ATOM_PAIR, TAG_ATOM_TYPE, stable_hash32
+from molfp.hashing import TAG_ATOM_PAIR, TAG_ATOM_TYPE, TAG_PATH, TAG_PATH_ATOM, stable_hash32
 from molfp.smarts import And, MoleculeView, Not, Or, Prim, SmartsPattern
 
 
@@ -547,6 +547,30 @@ def path_feature_count(mol: Molecule, min_bonds: int, max_bonds: int) -> int:
     for start in range(mol.n_atoms):
         dfs([start])
     return total // 2
+
+
+def path_fingerprint_oracle(mol: Molecule, min_path: int, max_path: int, length: int):
+    """The path count vector from a walk from every atom: each simple path
+    of min_path..max_path bonds, kept from its smaller end atom, as the
+    smaller of its (atom code, bond code, ..., atom code) tuple and that
+    tuple reversed, counted at the tuple's hash modulo ``length``."""
+    acode = [
+        stable_hash32(TAG_PATH_ATOM, a.element, int(a.aromatic), a.degree) for a in mol.atoms
+    ]
+    counts: dict[int, int] = {}
+
+    def walk(path: list[int], seq: tuple[int, ...]) -> None:
+        if path[0] < path[-1] and len(path) > min_path:
+            idx = stable_hash32(TAG_PATH, *min(seq, seq[::-1])) % length
+            counts[idx] = counts.get(idx, 0) + 1
+        if len(path) <= max_path:
+            for nbr, bidx in mol.neighbors[path[-1]]:
+                if nbr not in path:
+                    walk(path + [nbr], seq + (mol.bonds[bidx].order.value, acode[nbr]))
+
+    for start in range(mol.n_atoms):
+        walk([start], (acode[start],))
+    return counts
 
 
 # ------------------------------------------------------------ similarity

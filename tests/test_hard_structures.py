@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import struct
 import sys
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,8 @@ from molfp import (
 from molfp.chem import PERMITTED_VALENCES, symbol_of
 from molfp.cli import main
 from molfp.corpus import synthetic_smiles
-from molfp.fingerprints import FAMILY_ROWS, atom_pair, ecfp
+from molfp.fingerprints import FAMILY_ROWS, atom_pair, ecfp, path_fingerprint
+from molfp.hashing import TAG_PATH, hash_seed, stable_hash32
 from molfp.smarts import has_match, parse_smarts
 from molfp.smiles import parse_smiles
 
@@ -36,6 +39,7 @@ from .oracles import (
     canonical_ranks_oracle,
     ecfp_feature_count,
     path_feature_count,
+    path_fingerprint_oracle,
     permute_draft,
     random_permutation,
     torsion_feature_count,
@@ -335,6 +339,60 @@ class TestAtomPairTally:
     def test_large_molecules(self):
         for g in large_set(13, FULL_LADDER):
             self._check(from_smiles(to_smiles(g)))
+
+
+class TestPathTally:
+    """``path_fingerprint`` rows equal the walk-from-every-atom oracle,
+    count and binary, and count rows sum to the number of paths."""
+
+    BOUNDS = ((1, 1), (1, 3), (2, 4), (1, 7), (3, 10), (10, 10))
+    SMALL = (
+        "C",
+        "[H][H]",
+        "[Na+].[Cl-]",
+        "CCOCC",                      # palindromic chain
+        "c1ccccc1",                   # palindromic ring
+        "C1CC2CC3CC4CCCCC4CC3CC2C1",  # fused rings
+        "C" * 45,                     # a chain longer than every bound
+    )
+
+    def _check(self, mol):
+        for lo, hi in self.BOUNDS:
+            expected = path_fingerprint_oracle(mol, lo, hi, 2048)
+            for variant in ("count", "binary"):
+                cfg = FingerprintConfig(family="path", variant=variant, min_path=lo, max_path=hi)
+                row = path_fingerprint(mol, cfg).entries
+                want = expected if variant == "count" else dict.fromkeys(expected, 1)
+                assert row == want, (mol.source_text, lo, hi, variant)
+                if variant == "count":
+                    assert sum(row.values()) == path_feature_count(mol, lo, hi)
+
+    def test_small_and_edge_cases(self):
+        for smi in self.SMALL:
+            self._check(from_smiles(smi))
+
+    def test_corpus_sample(self):
+        for smi in random.Random(13).sample(synthetic_smiles(2000, seed=13), 150):
+            self._check(from_smiles(smi))
+
+    def test_large_molecules(self):
+        for g in large_set(13, FULL_LADDER):
+            self._check(from_smiles(to_smiles(g)))
+
+    def test_packed_bytes_sort_like_code_tuples(self):
+        # The walk orients each path by comparing packed bytes, not tuples.
+        rng = random.Random(13)
+        codes = (0, 1, 2, 4, 255, 256, 2**31, 2**32 - 2, 2**32 - 1)
+        for n in (1, 3, 5, 21):
+            pack = struct.Struct(f">{n}q").pack
+            for _ in range(500):
+                a = tuple(rng.choice(codes) for _ in range(n))
+                b = tuple(rng.choice(codes) for _ in range(n))
+                assert (pack(*a) < pack(*b)) == (a < b), (a, b)
+                assert (pack(*a) == pack(*b)) == (a == b), (a, b)
+                seq = a + b
+                packed = struct.pack(f">{len(seq)}q", *seq)
+                assert zlib.crc32(packed, hash_seed(TAG_PATH)) == stable_hash32(TAG_PATH, *seq)
 
 
 def test_long_chain_graph_layers_near_linear():

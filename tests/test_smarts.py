@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import signal
 import string
 import sys
 import time
@@ -427,6 +428,38 @@ class TestEnumerationCap:
         assert has_match(pat, mol)
         assert substructure_fingerprint(mol, _keys([DENDRIMER_3])).entries == {0: 1}
         assert time.perf_counter() - start < 15.0
+
+    def test_pattern_with_more_bonds_than_molecule_ends_at_once(self):
+        # The three-generation pattern with one more bond, closing a ring
+        # from a leaf of the first arm to the last leaf, has exponentially
+        # many partial mappings onto the acyclic molecule and none whole;
+        # the bond-count screen ends the search before it starts.
+        first = "C(C(C1)(C)C)(C(C)(C)C)C(C)(C)C"
+        last = "C(C(C)(C)C)(C(C)(C)C)C(C)(C)C1"
+        pat, mol = parse_smarts(f"C({first})({_ARM})({_ARM}){last}"), from_smiles(DENDRIMER_3)
+        assert (pat.n_atoms, len(pat.bond_list)) == (53, 53)
+        assert (mol.n_atoms, len(mol.bonds)) == (53, 52)
+
+        def timeout(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            found = has_match(pat, mol), count_unique(pat, mol)
+        except TimeoutError:
+            found = "still searching after 10 s"
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert found == (False, 0)
+
+    def test_bond_no_target_bond_satisfies(self):
+        mol = from_smiles("CCC(C)CO")
+        for text in ("C#C", "C=C", "C:C", "C@C", "O=C"):
+            pat = parse_smarts(text)
+            assert not has_match(pat, mol) and count_unique(pat, mol) == 0, text
+        assert count_unique(parse_smarts("C!@C"), mol) == 4
 
     def test_batch_reports_the_record(self):
         fp = Fingerprinter(
