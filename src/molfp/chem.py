@@ -1,8 +1,10 @@
 """Molecular graph data model and sanitization.
 
-A :class:`MoleculeDraft` is the mutable product of parsing; ``sanitize``
-turns it into an immutable :class:`Molecule` with implicit hydrogens,
-ring perception, and validated aromaticity.  Everything downstream
+A :class:`MoleculeDraft` is the mutable product of parsing, plain data
+checked only by ``sanitize`` (bonds: endpoints, loops, duplicates; atoms:
+element, isotope, hydrogen count), which turns it into an immutable
+:class:`Molecule` with implicit hydrogens, ring perception, and
+validated aromaticity.  Everything downstream
 (fingerprints, SMARTS matching, canonical writing) consumes Molecules
 and never mutates them, so they are safe to share across workers.
 """
@@ -138,48 +140,15 @@ class AtomDraft:
     explicit_h: int | None = None
     aromatic_flag: bool = False
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.element <= MAX_ELEMENT:
-            raise ValueError(f"element out of range: {self.element}")
-        if self.isotope is not None and self.isotope < 0:
-            raise ValueError("negative isotope")
-        if self.explicit_h is not None and self.explicit_h < 0:
-            raise ValueError("negative explicit hydrogen count")
-
 
 @dataclass
 class MoleculeDraft:
-    """Mutable molecular graph under construction by a parser."""
+    """Molecular graph under construction; plain data, checked by sanitize."""
 
     atoms: list[AtomDraft] = field(default_factory=list)
     bonds: list[Bond] = field(default_factory=list)
     source_text: str | None = None
     stereo_ignored: bool = False
-    _pairs: set[tuple[int, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._pairs = set()
-        for b in self.bonds:
-            pair = (b.i, b.j) if b.i < b.j else (b.j, b.i)
-            if pair in self._pairs:
-                raise ValueError(f"duplicate bond between atoms {b.i} and {b.j}")
-            self._pairs.add(pair)
-
-    def add_atom(self, atom: AtomDraft) -> int:
-        self.atoms.append(atom)
-        return len(self.atoms) - 1
-
-    def add_bond(self, i: int, j: int, order: BondOrder) -> None:
-        n = len(self.atoms)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"bond endpoint out of range: ({i}, {j})")
-        if i == j:
-            raise ValueError(f"self-loop bond on atom {i}")
-        pair = (i, j) if i < j else (j, i)
-        if pair in self._pairs:
-            raise ValueError(f"duplicate bond between atoms {i} and {j}")
-        self._pairs.add(pair)
-        self.bonds.append(_shared_bond(i, j, order))
 
 
 @dataclass(frozen=True)
@@ -498,12 +467,14 @@ def default_implicit_h(
 
 
 def sanitize(draft: MoleculeDraft) -> Molecule:
-    """Validate a draft and build the immutable molecule.
+    """Check a draft, however it was built, and build the molecule.
 
-    Checks performed: ring membership of aromatic atoms and bonds,
-    demotion of non-ring aromatic bonds between aromatic atoms (biphenyl
-    style) to single, and the valence model that assigns implicit
-    hydrogens.  Raises ValenceError or AromaticityError on violations.
+    Checks performed: bond endpoints in range, distinct and not bonded
+    twice; per atom, element in 1..MAX_ELEMENT, isotope and explicit
+    hydrogen count not negative (ValueError, ``atom {idx}: ...``); ring
+    membership of aromatic atoms and bonds (AromaticityError); the
+    valence model that assigns implicit hydrogens (ValenceError).
+    Non-ring aromatic bonds between aromatic atoms are demoted to single.
 
     One loop over the bonds tallies each atom's aromatic bonds and other
     bond-order sum; valences come from a table keyed by (element, charge),
@@ -511,11 +482,10 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
     """
     drafts = draft.atoms
     n = len(drafts)
-    # Bonds appended to draft.bonds directly skip add_bond's checks.
     pairs = set()
     for b in draft.bonds:
         if not (0 <= b.i < n and 0 <= b.j < n) or b.i == b.j:
-            raise ValueError("draft bond endpoints invalid")
+            raise ValueError(f"invalid bond endpoints ({b.i}, {b.j})")
         pair = (b.i, b.j) if b.i < b.j else (b.j, b.i)
         if pair in pairs:
             raise ValueError(f"duplicate bond between atoms {b.i} and {b.j}")
@@ -549,6 +519,12 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
 
     atom_in_ring = rings.atom_in_ring
     for idx, a in enumerate(drafts):
+        if not 1 <= a.element <= MAX_ELEMENT:
+            raise ValueError(f"atom {idx}: element out of range: {a.element}")
+        if a.isotope is not None and a.isotope < 0:
+            raise ValueError(f"atom {idx}: negative isotope")
+        if a.explicit_h is not None and a.explicit_h < 0:
+            raise ValueError(f"atom {idx}: negative explicit hydrogen count")
         if a.aromatic_flag and not atom_in_ring[idx]:
             raise AromaticityError(f"aromatic atom {idx} is not in any ring")
 

@@ -149,9 +149,11 @@ def _decorate(g: _Graph, rng: random.Random) -> None:
 def _emit(g: _Graph) -> str:
     n = len(g.nodes)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    bond_of = {}
     for bidx, (i, j, _) in enumerate(g.bonds):
         adj[i].append((j, bidx))
         adj[j].append((i, bidx))
+        bond_of[(min(i, j), max(i, j))] = bidx
 
     def bond_sym(bidx: int) -> str:
         i, j, kind = g.bonds[bidx]
@@ -165,44 +167,33 @@ def _emit(g: _Graph) -> str:
             return "-"
         return ""
 
-    visited = [False] * n
-    visit_seq = [-1] * n
-    counter = 0
+    visit_seq = [-1] * n  # -1 until visited
+    counter = iter(range(n))  # visit numbers, in order
     children: list[list[int]] = [[] for _ in range(n)]
     ring_partners: list[list[int]] = [[] for _ in range(n)]
     roots = []
     for root in range(n):
-        if visited[root]:
+        if visit_seq[root] >= 0:
             continue
         roots.append(root)
-        visited[root] = True
-        visit_seq[root] = counter
-        counter += 1
+        visit_seq[root] = next(counter)
         stack = [(root, -1, iter(sorted(nbr for nbr, _ in adj[root])))]
         while stack:
             cur, parent, it = stack[-1]
-            moved = False
             for nbr in it:
                 if nbr == parent:
                     continue
-                if visited[nbr]:
+                if visit_seq[nbr] >= 0:
                     if visit_seq[nbr] < visit_seq[cur] and cur not in ring_partners[nbr]:
                         ring_partners[nbr].append(cur)
                         ring_partners[cur].append(nbr)
                     continue
-                visited[nbr] = True
-                visit_seq[nbr] = counter
-                counter += 1
+                visit_seq[nbr] = next(counter)
                 children[cur].append(nbr)
                 stack.append((nbr, cur, iter(sorted(x for x, _ in adj[nbr]))))
-                moved = True
                 break
-            if not moved:
+            else:
                 stack.pop()
-
-    bond_of = {}
-    for bidx, (i, j, _) in enumerate(g.bonds):
-        bond_of[(min(i, j), max(i, j))] = bidx
 
     ring_digits: dict[tuple[int, int], int] = {}
     next_digit = 1

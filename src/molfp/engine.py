@@ -13,10 +13,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .chem import Molecule
-from .errors import CompositionError, ConfigError, run_records
+from .errors import CompositionError, ConfigError, RecordError, run_records
 from .fingerprints import (
     FAMILY_ROWS,
     N_DESCRIPTORS,
@@ -238,6 +239,8 @@ def transform_batch(
     names it, and cancels the chunks still queued; "skip" drops failed
     rows and lists them in the report.  Chunks are collected in input
     order, so the first failing chunk's failure has the smallest index.
+    A dead worker process ends either mode with a RecordError that names
+    the unfinished chunks' records and has no ``record_index``.
     """
     if transformer.output_kind != "vector":
         raise CompositionError("batch output requires a vector-producing transformer")
@@ -259,6 +262,14 @@ def transform_batch(
             ]
             try:
                 results = [f.result() for f in futures]
+            except BrokenProcessPool as exc:
+                # Every chunk not collected yet fails with the pool.
+                lost = ", ".join(
+                    f"{s}-{e - 1}"
+                    for (s, e), f in zip(spans, futures)
+                    if isinstance(f.exception(), BrokenProcessPool)
+                )
+                raise RecordError(f"a worker process died; records {lost} unfinished") from exc
             except BaseException:
                 # Leaving the block would wait for every queued chunk.
                 pool.shutdown(cancel_futures=True)

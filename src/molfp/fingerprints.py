@@ -15,7 +15,7 @@ from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from zlib import crc32
 
 from .chem import (
@@ -172,15 +172,10 @@ def _circular(mol: Molecule, cfg: FingerprintConfig, seeds: list[int]) -> Finger
             features.append((k, ident, envs[a]))
         codes = new_codes
 
-    counts: dict[int, int] = {}
-    seen_envs: set[object] = set()
+    kept: dict[object, int] = {}  # environment -> identifier of its first feature
     for _, ident, env in sorted(features, key=lambda f: (f[0], f[1])):
-        if env in seen_envs:
-            continue
-        seen_envs.add(env)
-        idx = ident % cfg.length
-        counts[idx] = counts.get(idx, 0) + 1
-    return _from_counts(counts, cfg.length, cfg.variant)
+        kept.setdefault(env, ident)
+    return _fold(kept.values(), repeat(1), cfg)
 
 
 def ecfp(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:

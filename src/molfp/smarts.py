@@ -329,29 +329,48 @@ def _parse_bond_expr(text: str, base_pos: int):
 
 
 def parse_smarts(text: str) -> SmartsPattern:
-    """Compile SMARTS text into a query pattern graph."""
+    """Compile SMARTS text into a query pattern graph.  A bad ring closure
+    (no atom yet, conflicting bond expressions, a loop, a second bond
+    between two atoms) raises SmartsSyntaxError at the closure token."""
     stripped = text.strip()
     if not stripped:
         raise SmartsSyntaxError("empty SMARTS", 0)
 
     atoms: list = []
-    bonds: list[tuple[int, int, object]] = []
+    bonds: list[tuple[int, int]] = []
+    bond_exprs: list = []
+    adjacency: list[list[tuple[int, int]]] = []  # per atom, (neighbour, bond index)
     anchor: int | None = None
     pending: str = ""
     pending_pos = 0
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, str, int]] = {}
+    parent: list[int | None] = []  # per atom, the other end of its chain bond
+    closed: set[tuple[int, int]] = set()  # ring-closure bonds so far, both orientations
     i = 0
     n = len(stripped)
+
+    def add_bond(qi: int, qj: int, run: str, run_pos: int) -> None:
+        # With no expression, single, or single or aromatic between two
+        # atoms that can only be aromatic.
+        expr = _parse_bond_expr(run, run_pos)
+        if expr is None:
+            both = _implies_aromatic(atoms[qi]) and _implies_aromatic(atoms[qj])
+            expr = Or((Prim("aromatic"), Prim("single"))) if both else Prim("single")
+        adjacency[qi].append((qj, len(bonds)))
+        adjacency[qj].append((qi, len(bonds)))
+        bonds.append((qi, qj))
+        bond_exprs.append(expr)
 
     def add_atom(expr) -> None:
         nonlocal anchor, pending
         atoms.append(expr)
-        idx = len(atoms) - 1
+        adjacency.append([])
+        parent.append(anchor)
         if anchor is not None:
-            bonds.append((anchor, idx, _parse_bond_expr(pending, pending_pos)))
+            add_bond(anchor, len(atoms) - 1, pending, pending_pos)
         pending = ""
-        anchor = idx
+        anchor = len(atoms) - 1
 
     while i < n:
         c = stripped[i]
@@ -381,6 +400,7 @@ def parse_smarts(text: str) -> SmartsPattern:
             pending_pos = i
             i = j
         elif "0" <= c <= "9" or c == "%":
+            start = i
             if c == "%":
                 digits = stripped[i + 1 : i + 3]
                 if i + 2 >= n or not (digits.isascii() and digits.isdigit()):
@@ -391,22 +411,27 @@ def parse_smarts(text: str) -> SmartsPattern:
                 num = int(c)
                 i += 1
             if anchor is None:
-                raise SmartsSyntaxError("ring closure before any atom", i)
+                raise SmartsSyntaxError("ring closure before any atom", start)
             if num in open_rings:
                 other, other_run, other_pos = open_rings.pop(num)
                 if other_run and pending and other_run != pending:
                     raise SmartsSyntaxError(
-                        f"conflicting bond expressions on ring closure {num}", i
+                        f"conflicting bond expressions on ring closure {num}", start
                     )
                 run = pending or other_run
                 run_pos = pending_pos if pending else other_pos
                 if other == anchor:
-                    raise SmartsSyntaxError(f"ring closure {num} forms a self-loop", i)
-                bonds.append((anchor, other, _parse_bond_expr(run, run_pos)))
-                pending = ""
+                    raise SmartsSyntaxError(f"ring closure {num} forms a self-loop", start)
+                # Chain bonds join atoms to their parents; other bonds are closures.
+                if parent[anchor] == other or parent[other] == anchor or (anchor, other) in closed:
+                    raise SmartsSyntaxError(
+                        f"duplicate bond between atoms {anchor} and {other}", start
+                    )
+                closed.update(((anchor, other), (other, anchor)))
+                add_bond(anchor, other, run, run_pos)
             else:
                 open_rings[num] = (anchor, pending, pending_pos)
-                pending = ""
+            pending = ""
         elif c == "(":
             if anchor is None:
                 raise SmartsSyntaxError("branch before any atom", i)
@@ -430,26 +455,10 @@ def parse_smarts(text: str) -> SmartsPattern:
     if not atoms:
         raise SmartsSyntaxError("no atoms in pattern", 0)
 
-    resolved_bonds: list[tuple[int, int]] = []
-    bond_exprs: list = []
-    for qi, qj, expr in bonds:
-        if expr is None:
-            if _implies_aromatic(atoms[qi]) and _implies_aromatic(atoms[qj]):
-                expr = Or((Prim("aromatic"), Prim("single")))
-            else:
-                expr = Prim("single")
-        resolved_bonds.append((qi, qj))
-        bond_exprs.append(expr)
-
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
-    for bidx, (qi, qj) in enumerate(resolved_bonds):
-        adjacency[qi].append((qj, bidx))
-        adjacency[qj].append((qi, bidx))
-
     return SmartsPattern(
         text=stripped,
         atom_exprs=tuple(atoms),
-        bond_list=tuple(resolved_bonds),
+        bond_list=tuple(bonds),
         bond_exprs=tuple(bond_exprs),
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )

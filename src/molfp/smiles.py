@@ -27,6 +27,7 @@ from .chem import (
     BondOrder,
     Molecule,
     MoleculeDraft,
+    _shared_bond,
     atomic_number,
     default_implicit_h,
     sanitize,
@@ -151,19 +152,22 @@ _BOND_CHARS = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIP
 def parse_smiles(text: str) -> MoleculeDraft:
     """Parse SMILES text into a molecule draft.
 
-    Ring-closure bonds are resolved, branches attached, and dots produce
-    disconnected components.  An unspecified bond between two aromatic
-    atoms is provisionally aromatic (sanitize demotes it to single when
-    it lies outside every ring).  The whole text is tokenized first, so a
-    character that starts no token wins over any grammar error.
+    Ring-closure bonds are resolved (a loop or a second bond between two
+    atoms is an error at the closing digit), branches attached, and dots
+    produce disconnected components.  An unspecified bond between two
+    aromatic atoms is provisionally aromatic (sanitize demotes it to
+    single when it lies outside every ring).  The whole text is tokenized
+    first, so a character that starts no token wins over any grammar error.
     """
     stripped = text.strip()
     if not stripped:
         raise SmilesSyntaxError("empty SMILES", 0)
     offset = text.index(stripped[0])
     draft = MoleculeDraft(source_text=stripped)
-    atoms = draft.atoms
+    atoms, bonds = draft.atoms, draft.bonds
     aromatic: list[bool] = []  # per atom, its aromatic flag
+    parent: list[int | None] = []  # per atom, the other end of its chain bond
+    closed: set[tuple[int, int]] = set()  # ring-closure bonds so far, both orientations
     anchor: int | None = None
     pending: BondOrder | None = None
     pending_pos = 0
@@ -184,12 +188,13 @@ def parse_smiles(text: str) -> MoleculeDraft:
             atoms.append(atom)
             flag = atom.aromatic_flag
             aromatic.append(flag)
+            parent.append(anchor)
             new = len(atoms) - 1
             if anchor is not None:
                 both = flag and aromatic[anchor]
                 order = pending or (BondOrder.AROMATIC if both else BondOrder.SINGLE)
                 # A bond to the newest atom cannot be a loop or a duplicate.
-                draft.add_bond(anchor, new, order)
+                bonds.append(_shared_bond(anchor, new, order))
                 pending = None
             anchor = new
         elif kind == _BOND:
@@ -213,10 +218,15 @@ def parse_smiles(text: str) -> MoleculeDraft:
                     )
                 both = aromatic[anchor] and aromatic[other]
                 order = pending or other_order or (BondOrder.AROMATIC if both else BondOrder.SINGLE)
-                try:
-                    draft.add_bond(anchor, other, order)
-                except ValueError as exc:
-                    raise SmilesSyntaxError(str(exc), pos) from None
+                if anchor == other:
+                    raise SmilesSyntaxError(f"self-loop bond on atom {anchor}", pos)
+                # Chain bonds join atoms to their parents; other bonds are closures.
+                if parent[anchor] == other or parent[other] == anchor or (anchor, other) in closed:
+                    raise SmilesSyntaxError(
+                        f"duplicate bond between atoms {anchor} and {other}", pos
+                    )
+                closed.update(((anchor, other), (other, anchor)))
+                bonds.append(_shared_bond(anchor, other, order))
             else:
                 open_rings[num] = (anchor, pending, pos)
             pending = None

@@ -100,24 +100,24 @@ def test_biphenyl_link_demoted_to_single():
 
 
 def test_sanitize_rejects_malformed_draft():
-    draft = MoleculeDraft()
-    draft.add_atom(parse_smiles("C").atoms[0])
-    draft.bonds.append(Bond(0, 5, BondOrder.SINGLE))
-    with pytest.raises(ValueError):
-        sanitize(draft)
-    # A draft built with its bonds is checked as add_bond checks them.
+    # Drafts are plain data; sanitize is where they are checked.
+    single, double = BondOrder.SINGLE, BondOrder.DOUBLE
     carbons = [AtomDraft(6), AtomDraft(6)]
-    with pytest.raises(ValueError, match="duplicate bond between atoms 0 and 1"):
-        MoleculeDraft(atoms=carbons, bonds=[Bond(0, 1, BondOrder.SINGLE)] * 2)
-    with pytest.raises(ValueError, match="duplicate bond between atoms 1 and 0"):
-        MoleculeDraft(
-            atoms=carbons, bonds=[Bond(0, 1, BondOrder.SINGLE), Bond(1, 0, BondOrder.DOUBLE)]
-        )
-    # Bonds appended to the list directly are checked by sanitize.
-    draft = MoleculeDraft(atoms=[AtomDraft(6), AtomDraft(6)])
-    draft.bonds += [Bond(0, 1, BondOrder.SINGLE)] * 2
-    with pytest.raises(ValueError, match="duplicate bond between atoms 0 and 1"):
-        sanitize(draft)
+    cases = [
+        (carbons, [Bond(0, 5, single)], r"invalid bond endpoints \(0, 5\)"),
+        (carbons, [Bond(1, 1, single)], r"invalid bond endpoints \(1, 1\)"),
+        (carbons, [Bond(0, 1, single)] * 2, "duplicate bond between atoms 0 and 1"),
+        (carbons, [Bond(0, 1, single), Bond(1, 0, double)], "duplicate bond between atoms 1 and 0"),
+        ([AtomDraft(6), AtomDraft(0)], [], "atom 1: element out of range: 0"),
+        ([AtomDraft(119)], [], "atom 0: element out of range: 119"),
+        ([AtomDraft(6, isotope=-1)], [], "atom 0: negative isotope"),
+        ([AtomDraft(8, explicit_h=-1)], [], "atom 0: negative explicit hydrogen count"),
+    ]
+    for atoms, bonds, message in cases:
+        with pytest.raises(ValueError, match=message):
+            sanitize(MoleculeDraft(atoms=list(atoms), bonds=list(bonds)))
+    # The boundary values are accepted.
+    sanitize(MoleculeDraft(atoms=[AtomDraft(1), AtomDraft(118, isotope=0, explicit_h=0)]))
 
 
 def test_empty_draft_gives_empty_molecule():

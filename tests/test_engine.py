@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import pickle
 import time
 
@@ -55,6 +56,22 @@ class FailsOn(Fingerprinter):
     def transform_one(self, record):
         if record == self.bad:
             raise RuntimeError("transformer bug")
+        return super().transform_one(record)
+
+
+class DiesOn(Fingerprinter):
+    """ecfp, except that a worker process ends at once on one record
+    (module level, so workers can unpickle it).  The process that built
+    it never exits."""
+
+    def __init__(self, bad: str):
+        super().__init__(FingerprintConfig(family="ecfp", length=64))
+        self.bad = bad
+        self.owner = os.getpid()
+
+    def transform_one(self, record):
+        if record == self.bad and os.getpid() != self.owner:
+            os._exit(3)
         return super().transform_one(record)
 
 
@@ -188,6 +205,19 @@ class TestTransformBatch:
             transform_batch(smis, FailsOn("CCN"), BatchOptions(jobs=jobs))
         assert exc.value.record_index == 2
         assert str(exc.value) == "RuntimeError: transformer bug"
+
+    @pytest.mark.parametrize("error_mode", ["raise", "skip"])
+    def test_dead_worker_is_a_record_error(self, corpus1000, error_mode):
+        smis = list(corpus1000[:20])
+        smis[13] = "CC(C)CCO"
+        opts = BatchOptions(jobs=2, error_mode=error_mode)
+        with pytest.raises(RecordError) as exc:
+            transform_batch(smis, DiesOn("CC(C)CCO"), opts)
+        # The record at fault is not known, only the chunks left unfinished.
+        assert getattr(exc.value, "record_index", None) is None
+        message = str(exc.value)
+        assert message.startswith("a worker process died; records ")
+        assert message.endswith("10-19 unfinished")
 
     def test_molecule_inputs_accepted(self):
         mols = [from_smiles("CCO"), from_smiles("CC")]

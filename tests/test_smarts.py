@@ -533,6 +533,31 @@ def test_non_ascii_digits_are_syntax_errors(text, position):
     assert exc.value.position == position
 
 
+# Ring-closure errors point at the closure token, as parse_smiles's do.
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("1CC", "ring closure before any atom", 0),
+        ("%12CC", "ring closure before any atom", 0),
+        ("C=1CCCCC#1", "conflicting bond expressions on ring closure 1", 9),
+        ("C11", "ring closure 1 forms a self-loop", 2),
+        ("C1C1", "duplicate bond between atoms 1 and 0", 3),
+        ("C12CC12", "duplicate bond between atoms 2 and 0", 6),
+        ("C(C1)1", "duplicate bond between atoms 0 and 1", 5),
+        ("C%10C%10", "duplicate bond between atoms 1 and 0", 5),
+    ],
+)
+def test_ring_closure_errors_at_the_closure_token(text, message, position):
+    with pytest.raises(SmartsSyntaxError) as exc:
+        parse_smarts(text)
+    assert (exc.value.message, exc.value.position) == (message, position)
+
+
+def test_ring_closures_between_distinct_pairs_are_kept():
+    assert parse_smarts("C1CC1").bond_list == ((0, 1), (1, 2), (2, 0))
+    assert parse_smarts("C12CC1C2").bond_list == ((0, 1), (1, 2), (2, 0), (2, 3), (3, 0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet=string.printable + "²١٣", max_size=30))
 def test_smarts_parser_never_crashes_outside_error_types(text):

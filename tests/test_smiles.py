@@ -230,6 +230,19 @@ def test_non_ascii_digits_are_syntax_errors(text, message, position):
     assert (exc.value.message, exc.value.position) == (message, position)
 
 
+def test_duplicate_of_a_chain_bond_from_either_end():
+    # Atom 1's chain bond comes from atom 0; closing onto it from either
+    # end duplicates it.
+    for text, message, position in [
+        ("C1C1", "duplicate bond between atoms 1 and 0", 3),
+        ("C(C1)1", "duplicate bond between atoms 0 and 1", 5),
+    ]:
+        with pytest.raises(SmilesSyntaxError) as exc:
+            parse_smiles(text)
+        assert (exc.value.message, exc.value.position) == (message, position)
+    assert len(parse_smiles("C1.C1").bonds) == 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.text(alphabet=string.printable + "²١٣", max_size=30))
 def test_parser_never_crashes_outside_error_types(text):
