@@ -13,7 +13,10 @@ outcome (the pattern's repr, or the error's type, message and position)
 on the default keys and a seeded set of mutated keys; then one line over
 every ``from_smiles`` outcome (the molecule's repr, or the error) on the
 corpus, the 47 large molecules of ``bench/molecules.py`` and a seeded set
-of mutated corpus SMILES; then one line over the canonical SMILES of the
+of mutated corpus SMILES; then one line over the ``sanitize`` result of
+three seeded atom orders (``permute_draft``) of each corpus and large
+molecule's draft, which the parser alone never produces and on which
+fused ring bases depend; then one line over the canonical SMILES of the
 corpus and the large molecules, and one over their ``canonical_ranks``;
 then one line over the ecfp count rows of the large molecules, one
 over their atom_pair count rows at each distance cap of 1, 3 and 30,
@@ -55,6 +58,8 @@ from molfp import (
     from_rows,
     from_smiles,
     parse_smarts,
+    parse_smiles,
+    sanitize,
     serialize,
     transform_batch,
     union,
@@ -67,7 +72,7 @@ from molfp.smarts import MoleculeView, SmartsKey, default_key_set_path, load_key
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT)]
 from molecules import FULL_LADDER, large_set, to_smiles  # noqa: E402
-from tests.oracles import HAND_KEY_TEXTS  # noqa: E402
+from tests.oracles import HAND_KEY_TEXTS, permute_draft, random_permutation  # noqa: E402
 
 FAMILIES = (
     "ecfp",
@@ -279,6 +284,14 @@ def main() -> int:
     valid = list(smiles) + large
     texts = valid + mutated(smiles, 20000)
     print(f"{parse_digest(from_smiles, texts)}  from_smiles() of {len(texts)} texts", flush=True)
+    h = hashlib.sha256()
+    rng = random.Random(13)
+    for smi in valid:
+        draft = parse_smiles(smi)
+        for _ in range(3):
+            perm = random_permutation(len(draft.atoms), rng)
+            h.update(repr(sanitize(permute_draft(draft, perm))).encode() + b"\n")
+    print(f"{h.hexdigest()}  sanitize() of 3 atom orders of {len(valid)} molecules", flush=True)
     h = hashlib.sha256()
     for smi in valid:
         h.update(write_canonical_smiles(from_smiles(smi)).encode() + b"\n")

@@ -4,9 +4,12 @@ A :class:`MoleculeDraft` is the mutable product of parsing, plain data
 checked only by ``sanitize`` (bonds: endpoints, loops, duplicates; atoms:
 element, isotope, hydrogen count), which turns it into an immutable
 :class:`Molecule` with implicit hydrogens, ring perception, and
-validated aromaticity.  Everything downstream
-(fingerprints, SMARTS matching, canonical writing) consumes Molecules
-and never mutates them, so they are safe to share across workers.
+validated aromaticity.  A draft's atoms and bonds are frozen values,
+shared between drafts wherever they are equal, and ``sanitize`` caches
+the ``Atom`` it builds from each draft atom in its bonding context.
+Everything downstream (fingerprints, SMARTS matching, canonical writing)
+consumes Molecules and never mutates them, so they are safe to share
+across workers.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import AromaticityError, ValenceError
 from .hashing import TAG_ATOM_INVARIANT, stable_hash32
@@ -122,23 +126,30 @@ class Bond:
     order: BondOrder
 
 
-# Frozen values built over and over are shared, one instance per
-# distinct argument tuple (argument types included).  Bonds repeat
-# across molecules because atom indices are small: 600 corpus molecules
-# give about 420 distinct bonds, the 47 large benchmark molecules about
-# 1,150.  The bound keeps unusual input from growing the tables.
-_shared_bond = lru_cache(maxsize=4096, typed=True)(Bond)
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class AtomDraft:
-    """Pre-sanitization atom as read from input text."""
+    """Pre-sanitization atom as read from input text.
+
+    Frozen, so that one instance can stand for every equal atom: the
+    parser takes each organic-subset atom from one prebuilt draft per
+    symbol and each bracket atom from ``_shared_atom_draft``.
+    """
 
     element: int
     formal_charge: int = 0
     isotope: int | None = None
     explicit_h: int | None = None
     aromatic_flag: bool = False
+
+
+# Frozen values built over and over are shared, one instance per
+# distinct argument tuple (argument types included).  Bonds repeat
+# across molecules because atom indices are small: 600 corpus molecules
+# give about 420 distinct bonds, the 47 large benchmark molecules about
+# 1,150.  Bracket atoms repeat because few are written differently.
+# The bound keeps unusual input from growing the tables.
+_shared_bond = lru_cache(maxsize=4096, typed=True)(Bond)
+_shared_atom_draft = lru_cache(maxsize=4096, typed=True)(AtomDraft)
 
 
 @dataclass
@@ -161,9 +172,6 @@ class Atom:
     implicit_h: int
     aromatic: bool
     degree: int
-
-
-_shared_atom = lru_cache(maxsize=4096, typed=True)(Atom)
 
 
 @dataclass(frozen=True)
@@ -237,38 +245,62 @@ def _gf2_add(mask: int, basis: dict[int, int]) -> bool:
     return False
 
 
-def _shortest_cycles_through(
-    u: int, v: int, skip_bond: int, adj: dict[int, list[tuple[int, int]]]
-) -> list[tuple[int, ...]]:
-    """All shortest cycles through bond (u, v), found by BFS from u with the
-    bond removed, then enumerating every shortest u-v path."""
-    dist = {u: 0}
+def _smallest_cycle_through(
+    u: int, v: int, skip_bond: int, adj: list[list[tuple[int, int]]], ring_bond: list[bool]
+) -> tuple[tuple[int, ...], int]:
+    """The smallest cycle through bond (u, v) over ring bonds, normalized,
+    ties broken by the smallest sorted atom tuple, and its edge mask (bit
+    k set for bond k).  A BFS from u with the bond removed finds the
+    distances; a walk from v down the distance layers to u enumerates
+    every shortest u-v path."""
+    dist = [-1] * len(adj)  # -1 until reached
+    dist[u] = 0
     queue = [u]
-    while queue and v not in dist:
+    d = 0
+    while queue and dist[v] < 0:
+        d += 1
         nxt: list[int] = []
         for cur in queue:
             for nbr, bidx in adj[cur]:
-                if bidx != skip_bond and nbr not in dist:
-                    dist[nbr] = dist[cur] + 1
+                if dist[nbr] < 0 and ring_bond[bidx] and bidx != skip_bond:
+                    dist[nbr] = d
                     nxt.append(nbr)
         queue = nxt
-    # Depth-first walk from v down the distance layers to u, with an
-    # explicit stack so that long rings cannot exhaust the recursion
-    # limit; path[k] holds the atom at distance dist[v] - k.
-    paths: list[tuple[int, ...]] = []
+    # Depth-first, with an explicit stack so that long rings cannot
+    # exhaust the recursion limit; path[k] holds the atom at distance
+    # dist[v] - k, and each stack entry the mask of the bonds from v.
+    top = dist[v]
+    best = None
     path: list[int] = []
-    stack = [v]
+    stack = [(v, 1 << skip_bond)]
     while stack:
-        cur = stack.pop()
-        del path[dist[v] - dist[cur] :]
+        cur, mask = stack.pop()
+        below = dist[cur] - 1
+        del path[top - below - 1 :]
         path.append(cur)
         if cur == u:
-            paths.append(tuple(reversed(path)))
+            cycle = _normalize_cycle(tuple(path))
+            key = (tuple(sorted(cycle)), cycle)
+            if best is None or key < best[0]:
+                best = (key, cycle, mask)
             continue
+        # Only a ring bond leads from the BFS's atoms to one a layer down.
         for nbr, bidx in reversed(adj[cur]):
-            if bidx != skip_bond and dist.get(nbr) == dist[cur] - 1:
-                stack.append(nbr)
-    return paths
+            if dist[nbr] == below:
+                stack.append((nbr, mask | 1 << bidx))
+    return best[1], best[2]
+
+
+@lru_cache(maxsize=1024)
+def _no_rings(n_atoms: int, n_bonds: int) -> RingInfo:
+    """The ring information of an acyclic graph, shared by equal sizes."""
+    return RingInfo(
+        rings=(),
+        atom_in_ring=(False,) * n_atoms,
+        bond_in_ring=(False,) * n_bonds,
+        atom_ring_count=(0,) * n_atoms,
+        smallest_ring_size=(None,) * n_atoms,
+    )
 
 
 def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingInfo:
@@ -284,6 +316,13 @@ def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingIn
     atom tuple.  If those cycles fall short of the cycle space's rank
     (bonds - atoms + components), as under some atom orders in fused or
     bridged systems, the forest's fundamental cycles complete the basis.
+
+    Ring membership comes from the fundamental cycles, not from the
+    basis: every bond on a cycle lies on a fundamental one, so
+    ``bond_in_ring`` holds the ring bonds and ``atom_in_ring`` the atoms
+    on at least one fundamental cycle.  Ring counts and smallest ring
+    sizes come from the basis.  Bonds are distinct atom pairs, as
+    ``sanitize`` checks.
     """
     return _perceive_rings(n_atoms, bonds, _adjacency(n_atoms, bonds))
 
@@ -292,7 +331,7 @@ def _perceive_rings(
     n_atoms: int, bonds: list[Bond] | tuple[Bond, ...], adj: list[list[tuple[int, int]]]
 ) -> RingInfo:
     """perceive_rings over ``adj``, the adjacency of ``bonds``, which
-    sanitize builds once for ring perception and for the molecule."""
+    sanitize builds in its bond loop."""
     n_bonds = len(bonds)
 
     # BFS spanning forest, one tree per component, rooted at its
@@ -305,37 +344,31 @@ def _perceive_rings(
         if depth[root] >= 0:
             continue
         n_components += 1
-        depth[root] = 0
+        depth[root] = d = 0
         queue = [root]
         while queue:
+            d += 1
             nxt: list[int] = []
             for cur in queue:
-                below = depth[cur] + 1
                 for nbr, bidx in adj[cur]:
                     if depth[nbr] < 0:
                         parent[nbr] = cur
                         parent_bond[nbr] = bidx
-                        depth[nbr] = below
+                        depth[nbr] = d
                         nxt.append(nbr)
             queue = nxt
     if n_bonds - n_atoms + n_components == 0:
-        return RingInfo(
-            rings=(),
-            atom_in_ring=(False,) * n_atoms,
-            bond_in_ring=(False,) * n_bonds,
-            atom_ring_count=(0,) * n_atoms,
-            smallest_ring_size=(None,) * n_atoms,
-        )
+        return _no_rings(n_atoms, n_bonds)
 
-    # Fundamental cycle of each non-tree bond: up from both ends to the
-    # lowest common ancestor, marking the ring bonds on the way.
+    # Fundamental cycle of each non-tree bond, in bond order: up from
+    # both ends to the lowest common ancestor, marking the ring bonds on
+    # the way.
     ring_bond = [False] * n_bonds
     fundamentals: list[tuple[int, tuple[int, ...]]] = []
     cycles_at = [0] * n_atoms
-    for bidx, b in enumerate(bonds):
+    for bidx in sorted(set(range(n_bonds)).difference(parent_bond)):
+        b = bonds[bidx]
         x, y = b.i, b.j
-        if parent_bond[x] == bidx or parent_bond[y] == bidx:
-            continue
         ring_bond[bidx] = True
         up, down = [], []
         while x != y:
@@ -354,64 +387,54 @@ def _perceive_rings(
         fundamentals.append((bidx, cycle))
     cyclomatic = len(fundamentals)
 
-    # A later duplicate of a bond wins, as the edge masks have always had it.
-    bond_of: dict[tuple[int, int], int] = {}
-    for bidx, flag in enumerate(ring_bond):
-        if flag:
-            b = bonds[bidx]
-            bond_of[b.i, b.j] = bond_of[b.j, b.i] = bidx
-
     rings: list[tuple[int, ...]] = []
     joined: list[tuple[int, tuple[int, ...]]] = []  # cycles sharing an atom
     for bidx, cycle in fundamentals:
-        if all(cycles_at[a] == 1 for a in cycle):
+        # Every count is at least 1, so they sum to the length only when
+        # no other fundamental cycle passes through the cycle's atoms.
+        if sum(map(cycles_at.__getitem__, cycle)) == len(cycle):
             rings.append(_normalize_cycle(cycle))
         else:
             joined.append((bidx, cycle))
 
     if joined:
-        ring_atoms = {a for _, cycle in joined for a in cycle}
-        ring_adj = {a: [(x, bidx) for x, bidx in adj[a] if ring_bond[bidx]] for a in ring_atoms}
-        candidates = set()
+        candidates: dict[tuple[int, ...], int] = {}  # cycle -> edge mask
         for bidx, _ in joined:
             b = bonds[bidx]
-            paths = _shortest_cycles_through(b.i, b.j, bidx, ring_adj)
-            candidates.add(
-                min((_normalize_cycle(p) for p in paths), key=lambda c: (tuple(sorted(c)), c))
-            )
+            cycle, mask = _smallest_cycle_through(b.i, b.j, bidx, adj, ring_bond)
+            candidates[cycle] = mask
         basis: dict[int, int] = {}
         for cycle in sorted(candidates, key=_ring_key):
-            if _gf2_add(_cycle_edge_mask(cycle, bond_of), basis):
+            if _gf2_add(candidates[cycle], basis):
                 rings.append(cycle)
 
         if len(rings) < cyclomatic:
             # Complete the basis with fundamental cycles of the forest.
+            bond_of: dict[tuple[int, int], int] = {}
+            for bidx, flag in enumerate(ring_bond):
+                if flag:
+                    b = bonds[bidx]
+                    bond_of[b.i, b.j] = bond_of[b.j, b.i] = bidx
             for cycle in sorted({_normalize_cycle(c) for _, c in joined}, key=_ring_key):
                 if len(rings) == cyclomatic:
                     break
                 if _gf2_add(_cycle_edge_mask(cycle, bond_of), basis):
                     rings.append(cycle)
 
-    rings.sort(key=_ring_key)
+    if len(rings) > 1:
+        rings.sort(key=_ring_key)
 
-    atom_in_ring = [False] * n_atoms
-    bond_in_ring = [False] * n_bonds
     ring_count = [0] * n_atoms
     smallest: list[int | None] = [None] * n_atoms
-    for cycle in rings:
+    for cycle in reversed(rings):  # largest first, so the smallest writes last
         size = len(cycle)
-        prev = cycle[-1]
         for a in cycle:
-            atom_in_ring[a] = True
             ring_count[a] += 1
-            if smallest[a] is None:  # rings are sorted by size
-                smallest[a] = size
-            bond_in_ring[bond_of[prev, a]] = True
-            prev = a
+            smallest[a] = size
     return RingInfo(
         rings=tuple(rings),
-        atom_in_ring=tuple(atom_in_ring),
-        bond_in_ring=tuple(bond_in_ring),
+        atom_in_ring=tuple(map(bool, cycles_at)),
+        bond_in_ring=tuple(ring_bond),
         atom_ring_count=tuple(ring_count),
         smallest_ring_size=tuple(smallest),
     )
@@ -466,56 +489,88 @@ def default_implicit_h(
     return None
 
 
+@lru_cache(maxsize=4096)
+def _built_atom(a: AtomDraft, other_sum: int, n_aromatic: int, degree: int) -> Atom | None:
+    """The sanitized atom for draft atom ``a`` with these bonds (the
+    order sum of its non-aromatic bonds, its in-ring aromatic bonds and
+    its heavy neighbours), or None when no permitted valence fits.  A
+    bracket atom keeps its written hydrogen count, but the total must
+    still fit a permitted valence.  Equal arguments give one shared Atom.
+    """
+    h = a.explicit_h
+    implicit = default_implicit_h(a.element, a.formal_charge, n_aromatic, other_sum + (h or 0))
+    if implicit is None:
+        return None
+    if h is not None:
+        implicit = h
+    return Atom(a.element, a.formal_charge, a.isotope, implicit, a.aromatic_flag, degree)
+
+
+_element = attrgetter("element")
+_implicit_h = attrgetter("implicit_h")
+
+
 def sanitize(draft: MoleculeDraft) -> Molecule:
     """Check a draft, however it was built, and build the molecule.
 
-    Checks performed: bond endpoints in range, distinct and not bonded
-    twice; per atom, element in 1..MAX_ELEMENT, isotope and explicit
-    hydrogen count not negative (ValueError, ``atom {idx}: ...``); ring
-    membership of aromatic atoms and bonds (AromaticityError); the
-    valence model that assigns implicit hydrogens (ValenceError).
-    Non-ring aromatic bonds between aromatic atoms are demoted to single.
+    Checks performed, in this order: bond endpoints in range, distinct
+    and not bonded twice (ValueError); aromatic bonds between aromatic
+    atoms (AromaticityError); per atom, element in 1..MAX_ELEMENT, isotope
+    and explicit hydrogen count not negative (ValueError, ``atom {idx}:
+    ...``) and aromatic atoms in a ring (AromaticityError); the valence
+    model that assigns implicit hydrogens (ValenceError).  Non-ring
+    aromatic bonds between aromatic atoms are demoted to single.
 
-    One loop over the bonds tallies each atom's aromatic bonds and other
-    bond-order sum; valences come from a table keyed by (element, charge),
-    and equal atoms are one shared ``Atom`` instance.
+    One loop over the bonds checks them, builds the adjacency and tallies
+    each atom's non-aromatic bond-order sum; after ring perception, the
+    aromatic bonds are checked and tallied.  Each atom comes from
+    ``_built_atom``, cached by draft atom and bond tallies.
     """
     drafts = draft.atoms
     n = len(drafts)
-    pairs = set()
-    for b in draft.bonds:
-        if not (0 <= b.i < n and 0 <= b.j < n) or b.i == b.j:
-            raise ValueError(f"invalid bond endpoints ({b.i}, {b.j})")
-        pair = (b.i, b.j) if b.i < b.j else (b.j, b.i)
-        if pair in pairs:
-            raise ValueError(f"duplicate bond between atoms {b.i} and {b.j}")
-        pairs.add(pair)
-    # Demotion below changes bond orders only, so this adjacency of the
-    # draft's bonds is also the molecule's.
-    adj = _adjacency(n, draft.bonds)
-    rings = _perceive_rings(n, draft.bonds, adj)
-
-    bonds = list(draft.bonds)
-    n_arom = [0] * n
+    bonds = draft.bonds
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     other_sum = [0] * n
-    bond_in_ring = rings.bond_in_ring
+    aromatic: list[int] = []  # indices of aromatic bonds
+    pairs = set()  # atom pairs bonded so far, as i * n + j with i < j
+    aromatic_order = BondOrder.AROMATIC
     for bidx, b in enumerate(bonds):
+        i, j = b.i, b.j
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ValueError(f"invalid bond endpoints ({i}, {j})")
+        pair = i * n + j if i < j else j * n + i
+        if pair in pairs:
+            raise ValueError(f"duplicate bond between atoms {i} and {j}")
+        pairs.add(pair)
+        adj[i].append((j, bidx))
+        adj[j].append((i, bidx))
         order = b.order
-        if order is BondOrder.AROMATIC:
-            if not (drafts[b.i].aromatic_flag and drafts[b.j].aromatic_flag):
-                raise AromaticityError(
-                    f"aromatic bond between non-aromatic atoms {b.i} and {b.j}"
-                )
-            if bond_in_ring[bidx]:
-                n_arom[b.i] += 1
-                n_arom[b.j] += 1
-                continue
-            bonds[bidx] = _shared_bond(b.i, b.j, BondOrder.SINGLE)
-            value = 1
+        if order is aromatic_order:
+            aromatic.append(bidx)
         else:
-            value = 1 if order is BondOrder.SINGLE else 2 if order is BondOrder.DOUBLE else 3
-        other_sum[b.i] += value
-        other_sum[b.j] += value
+            value = BOND_CODE[order]
+            other_sum[i] += value
+            other_sum[j] += value
+    for nbrs in adj:
+        nbrs.sort()
+    rings = _perceive_rings(n, bonds, adj)
+
+    n_arom = [0] * n
+    if aromatic:
+        bonds = list(bonds)
+        bond_in_ring = rings.bond_in_ring
+        for bidx in aromatic:
+            b = bonds[bidx]
+            i, j = b.i, b.j
+            if not (drafts[i].aromatic_flag and drafts[j].aromatic_flag):
+                raise AromaticityError(f"aromatic bond between non-aromatic atoms {i} and {j}")
+            if bond_in_ring[bidx]:
+                n_arom[i] += 1
+                n_arom[j] += 1
+            else:
+                bonds[bidx] = _shared_bond(i, j, BondOrder.SINGLE)
+                other_sum[i] += 1
+                other_sum[j] += 1
 
     atom_in_ring = rings.atom_in_ring
     for idx, a in enumerate(drafts):
@@ -528,42 +583,36 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
         if a.aromatic_flag and not atom_in_ring[idx]:
             raise AromaticityError(f"aromatic atom {idx} is not in any ring")
 
-    heavy_only = all(a.element != 1 for a in drafts)
-    atoms: list[Atom] = []
-    total_h: list[int] = []
-    for idx, a in enumerate(drafts):
-        # A bracket atom keeps its written hydrogen count, but the total
-        # must still fit a permitted valence.
-        h = a.explicit_h
-        bond_sum = other_sum[idx] + (h or 0)
-        implicit = default_implicit_h(a.element, a.formal_charge, n_arom[idx], bond_sum)
-        if implicit is None:
-            vals = permitted_valences(a.element, a.formal_charge)
-            raise ValenceError(
-                f"atom {idx} ({symbol_of(a.element)}): bond order sum "
-                f"{bond_sum + (3 * n_arom[idx]) // 2} exceeds permitted valences {vals}"
-            )
-        if h is not None:
-            implicit = h
-        nbrs = adj[idx]
-        if heavy_only:
-            degree = len(nbrs)
-        else:
-            degree = sum(1 for nbr, _ in nbrs if drafts[nbr].element != 1)
-        # Positional, in Atom's field order: keyword arguments would make
-        # the cache key cost about as much as building the Atom.
-        atoms.append(
-            _shared_atom(a.element, a.formal_charge, a.isotope, implicit, a.aromatic_flag, degree)
+    # Degrees count heavy neighbours; the others are hydrogens, counted
+    # in total_h.
+    heavy_only = 1 not in map(_element, drafts)
+    if heavy_only:
+        degrees = list(map(len, adj))
+    else:
+        degrees = [sum(drafts[nbr].element != 1 for nbr, _ in nbrs) for nbrs in adj]
+    atoms = tuple(map(_built_atom, drafts, other_sum, n_arom, degrees))
+    if not all(atoms):
+        idx = next(idx for idx, atom in enumerate(atoms) if atom is None)
+        a = drafts[idx]
+        vals = permitted_valences(a.element, a.formal_charge)
+        bond_sum = other_sum[idx] + (a.explicit_h or 0) + (3 * n_arom[idx]) // 2
+        raise ValenceError(
+            f"atom {idx} ({symbol_of(a.element)}): bond order sum "
+            f"{bond_sum} exceeds permitted valences {vals}"
         )
-        # Neighbours that are not heavy atoms are hydrogens.
-        total_h.append(implicit + len(nbrs) - degree)
+    if heavy_only:
+        total_h = tuple(map(_implicit_h, atoms))
+    else:
+        total_h = tuple(
+            atom.implicit_h + len(nbrs) - degree for atom, nbrs, degree in zip(atoms, adj, degrees)
+        )
 
     return Molecule(
-        atoms=tuple(atoms),
+        atoms=atoms,
         bonds=tuple(bonds),
         neighbors=tuple(map(tuple, adj)),
         rings=rings,
-        total_h=tuple(total_h),
+        total_h=total_h,
         source_text=draft.source_text,
     )
 

@@ -61,7 +61,8 @@ class KeySetError(MolfpError):
 
 class MatchLimitError(MolfpError):
     """A SMARTS pattern has more mappings on one molecule than
-    ``smarts.MAX_MAPPINGS``."""
+    ``smarts.MAX_MAPPINGS``, or its search tries more candidate atoms
+    than ``smarts.MAX_STEPS``."""
 
 
 class ConfigError(MolfpError):

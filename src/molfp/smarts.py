@@ -44,6 +44,14 @@ _BARE_ATOM_STARTS = ORGANIC_ONE | ORGANIC_AROMATIC | set("*aA")
 # benchmark molecules; the two-generation dendrimer's self-matches, 31,104.
 MAX_MAPPINGS = 100_000
 
+# The most candidate atoms one search may try, past which it raises
+# MatchLimitError too: a pattern that passes the atom and bond screens
+# can still try exponentially many partial mappings and complete none.
+# Default keys try at most 3,597 on the seeded corpus and the large
+# benchmark molecules; the three-generation dendrimer's self-match
+# reaches MAX_MAPPINGS after 315,177.
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class Prim:
@@ -569,10 +577,10 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
     bond expressions and the slot masks ``m``; with ``first_only``, stops
     at the first mapping.  Each mapping is also appended to ``mappings``,
     when given, as a tuple indexed by query atom.  Raises MatchLimitError
-    past MAX_MAPPINGS mappings.  A pattern with more atoms than the
-    molecule, or with an atom no target atom satisfies, has none; so has
-    one with more bonds than the molecule, or with a bond no target bond
-    satisfies.
+    past MAX_MAPPINGS mappings or MAX_STEPS candidate atoms tried.  A
+    pattern with more atoms than the molecule, or with an atom no target
+    atom satisfies, has none; so has one with more bonds than the
+    molecule, or with a bond no target bond satisfies.
 
     Depth-first search over candidate bitmasks (Ullmann, J. ACM 23:31,
     1976; VF2, Cordella et al., IEEE TPAMI 26:1367, 2004) on an explicit
@@ -605,6 +613,7 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
     assignment = [-1] * qn
     found: set[int] = set()
     enumerated = 0
+    tried = 0
     used = 0
     stack = [amasks[order[0]]]
     while stack:
@@ -615,6 +624,12 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
             if step:
                 used ^= 1 << assignment[order[step - 1]]
             continue
+        tried += 1
+        if tried > MAX_STEPS:
+            raise MatchLimitError(
+                f"pattern {pattern.text!r} tried more than {MAX_STEPS} "
+                "candidate atoms on this molecule"
+            )
         bit = cands & -cands
         stack[step] = cands ^ bit
         assignment[order[step]] = bit.bit_length() - 1

@@ -13,7 +13,8 @@ that they were dropped.
 from __future__ import annotations
 
 import re
-from itertools import count
+from itertools import accumulate, count
+from operator import itemgetter
 
 from .chem import (
     BOND_CODE,
@@ -27,6 +28,7 @@ from .chem import (
     BondOrder,
     Molecule,
     MoleculeDraft,
+    _shared_atom_draft,
     _shared_bond,
     atomic_number,
     default_implicit_h,
@@ -56,15 +58,25 @@ _BRACKET_RE = re.compile(
 )
 
 
-# One group per token kind, so that a match's lastindex is its kind
-# number.  Two-letter organic symbols are tried first.
+# One alternative per token kind, without groups, so that findall
+# returns the token texts.  Two-letter organic symbols are tried first.
 _ORGANIC_RE = "|".join(map(re.escape, ORGANIC_TWO)) + "|[" + "".join(
     map(re.escape, sorted(ORGANIC_ONE | ORGANIC_AROMATIC))
 ) + "]"
-_TOKEN_RE = re.compile(
-    rf"({_ORGANIC_RE})|(\[[^\]]*\])|([-=#:/\\])|([0-9]|%[0-9][0-9])|(\()|(\))|(\.)"
-)
+_TOKEN_RE = re.compile(rf"{_ORGANIC_RE}|\[[^\]]*\]|[-=#:/\\]|[0-9]|%[0-9][0-9]|\(|\)|\.")
 _ORGANIC, _BRACKET, _BOND, _RING, _OPEN, _CLOSE, _DOT = range(1, 8)
+
+# A token's kind number by its first character, which no two kinds share.
+_KIND_OF = {
+    **dict.fromkeys((sym[0] for sym in (*ORGANIC_TWO, *ORGANIC_ONE, *ORGANIC_AROMATIC)), _ORGANIC),
+    "[": _BRACKET,
+    **dict.fromkeys("-=#:/\\", _BOND),
+    **dict.fromkeys("0123456789%", _RING),
+    "(": _OPEN,
+    ")": _CLOSE,
+    ".": _DOT,
+}
+_first_char = itemgetter(0)
 
 
 def tokenize(text: str) -> list[tuple[int, str, int]]:
@@ -72,16 +84,17 @@ def tokenize(text: str) -> list[tuple[int, str, int]]:
     kind numbers are ``_ORGANIC`` to ``_DOT``.  Token spans are contiguous
     and cover the whole input; the first character that starts no token
     raises SmilesSyntaxError at its position."""
-    tokens = []
+    texts = _TOKEN_RE.findall(text)
+    # findall skips characters that start no token; the texts cover the
+    # input exactly when their lengths add up to it.
+    if sum(map(len, texts)) == len(text):
+        kinds = map(_KIND_OF.__getitem__, map(_first_char, texts))
+        return list(zip(kinds, texts, accumulate(map(len, texts), initial=0)))
     end = 0
     for m in _TOKEN_RE.finditer(text):
-        start = m.start()
-        if start != end:
+        if m.start() != end:
             break
         end = m.end()
-        tokens.append((m.lastindex, m.group(), start))
-    if end == len(text):
-        return tokens
     c = text[end]
     if c == "[":
         raise SmilesSyntaxError("unclosed bracket atom", end)
@@ -129,24 +142,23 @@ def _parse_bracket(text: str, pos: int) -> tuple[AtomDraft, bool]:
     charge = 0
     if m.group("charge"):
         charge = _parse_charge(m.group("charge"), pos)
-    atom = AtomDraft(
-        element=element,
-        formal_charge=charge,
-        isotope=int(iso) if iso else None,
-        explicit_h=hcount,
-        aromatic_flag=aromatic,
-    )
+    # Positional, in AtomDraft's field order, as the cache key.
+    atom = _shared_atom_draft(element, charge, int(iso) if iso else None, hcount, aromatic)
     return atom, m.group("stereo") is not None
 
 
-# Organic-subset symbol -> (element, aromatic flag).
+# Organic-subset symbol -> its one shared draft atom.
 _ORGANIC_ATOMS = {
-    **{sym: (atomic_number(sym), False) for sym in (*ORGANIC_TWO, *ORGANIC_ONE)},
-    **{sym: (LOWERCASE_AROMATIC[sym], True) for sym in ORGANIC_AROMATIC},
+    **{sym: AtomDraft(atomic_number(sym)) for sym in (*ORGANIC_TWO, *ORGANIC_ONE)},
+    **{sym: AtomDraft(LOWERCASE_AROMATIC[sym], aromatic_flag=True) for sym in ORGANIC_AROMATIC},
 }
 
 _BOND_CHARS = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE,
                ":": BondOrder.AROMATIC, "/": BondOrder.SINGLE, "\\": BondOrder.SINGLE}
+
+# The order of a bond written without a symbol, indexed by whether both
+# of its atoms are aromatic.
+_IMPLIED_ORDER = (BondOrder.SINGLE, BondOrder.AROMATIC)
 
 
 def parse_smiles(text: str) -> MoleculeDraft:
@@ -178,8 +190,7 @@ def parse_smiles(text: str) -> MoleculeDraft:
         pos = tok_pos + offset
         if kind == _ORGANIC or kind == _BRACKET:
             if kind == _ORGANIC:
-                element, flag = _ORGANIC_ATOMS[tok]
-                atom = AtomDraft(element=element, aromatic_flag=flag)
+                atom = _ORGANIC_ATOMS[tok]
             else:
                 # Errors inside a bracket atom count from the stripped text.
                 atom, stereo = _parse_bracket(tok, tok_pos)
@@ -192,7 +203,7 @@ def parse_smiles(text: str) -> MoleculeDraft:
             new = len(atoms) - 1
             if anchor is not None:
                 both = flag and aromatic[anchor]
-                order = pending or (BondOrder.AROMATIC if both else BondOrder.SINGLE)
+                order = pending or _IMPLIED_ORDER[both]
                 # A bond to the newest atom cannot be a loop or a duplicate.
                 bonds.append(_shared_bond(anchor, new, order))
                 pending = None
@@ -217,7 +228,7 @@ def parse_smiles(text: str) -> MoleculeDraft:
                         f"conflicting bond orders on ring closure {num}", pos
                     )
                 both = aromatic[anchor] and aromatic[other]
-                order = pending or other_order or (BondOrder.AROMATIC if both else BondOrder.SINGLE)
+                order = pending or other_order or _IMPLIED_ORDER[both]
                 if anchor == other:
                     raise SmilesSyntaxError(f"self-loop bond on atom {anchor}", pos)
                 # Chain bonds join atoms to their parents; other bonds are closures.

@@ -12,7 +12,19 @@ import itertools
 import math
 import random
 
-from molfp.chem import Bond, BondOrder, Molecule, MoleculeDraft
+from molfp.chem import (
+    MAX_ELEMENT,
+    Atom,
+    Bond,
+    BondOrder,
+    Molecule,
+    MoleculeDraft,
+    RingInfo,
+    default_implicit_h,
+    permitted_valences,
+    symbol_of,
+)
+from molfp.errors import AromaticityError, ValenceError
 from molfp.hashing import TAG_ATOM_PAIR, TAG_ATOM_TYPE, TAG_PATH, TAG_PATH_ATOM, stable_hash32
 from molfp.smarts import And, MoleculeView, Not, Or, Prim, SmartsPattern
 
@@ -110,6 +122,263 @@ def independent_cycles(edges: list[tuple[int, int]], cycles) -> bool:
     edge_index = {(min(i, j), max(i, j)): idx for idx, (i, j) in enumerate(edges)}
     basis: dict[int, int] = {}
     return all(_gf2_insert(_edge_mask(c, edge_index), basis) for c in cycles)
+
+
+# -------------------------------------------------------------- sanitize
+#
+# The direct sanitize: bonds checked in a loop of their own, adjacency
+# built apart from it, ring membership read off the basis, each atom
+# built and valence-checked on its own.  The library's sanitize must
+# give equal molecules and raise the same errors.
+
+def _oracle_adjacency(n_atoms: int, bonds) -> list[list[tuple[int, int]]]:
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n_atoms)]
+    for bidx, b in enumerate(bonds):
+        adj[b.i].append((b.j, bidx))
+        adj[b.j].append((b.i, bidx))
+    for nbrs in adj:
+        nbrs.sort()
+    return adj
+
+
+def _oracle_normalize_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    start = cycle.index(min(cycle))
+    forward = cycle[start:] + cycle[:start]
+    return min(forward, forward[:1] + forward[:0:-1])
+
+
+def _oracle_ring_key(cycle: tuple[int, ...]) -> tuple:
+    return (len(cycle), tuple(sorted(cycle)), cycle)
+
+
+def _oracle_cycle_edge_mask(cycle: tuple[int, ...], bond_of: dict[tuple[int, int], int]) -> int:
+    mask = 0
+    for prev, a in zip(cycle[-1:] + cycle[:-1], cycle):
+        mask |= 1 << bond_of[prev, a]
+    return mask
+
+
+def _oracle_shortest_cycles_through(
+    u: int, v: int, skip_bond: int, adj: dict[int, list[tuple[int, int]]]
+) -> list[tuple[int, ...]]:
+    """Every shortest u-v path avoiding ``skip_bond``, as atom tuples."""
+    dist = {u: 0}
+    queue = [u]
+    while queue and v not in dist:
+        nxt: list[int] = []
+        for cur in queue:
+            for nbr, bidx in adj[cur]:
+                if bidx != skip_bond and nbr not in dist:
+                    dist[nbr] = dist[cur] + 1
+                    nxt.append(nbr)
+        queue = nxt
+    paths: list[tuple[int, ...]] = []
+    path: list[int] = []
+    stack = [v]
+    while stack:
+        cur = stack.pop()
+        del path[dist[v] - dist[cur] :]
+        path.append(cur)
+        if cur == u:
+            paths.append(tuple(reversed(path)))
+            continue
+        for nbr, bidx in reversed(adj[cur]):
+            if bidx != skip_bond and dist.get(nbr) == dist[cur] - 1:
+                stack.append(nbr)
+    return paths
+
+
+def perceive_rings_oracle(n_atoms: int, bonds) -> RingInfo:
+    """Minimum cycle basis from the fundamental cycles of a BFS forest
+    and the shortest cycle through each joined non-tree bond; membership
+    fields read off the chosen rings."""
+    adj = _oracle_adjacency(n_atoms, bonds)
+    n_bonds = len(bonds)
+    parent = [-1] * n_atoms
+    parent_bond = [-1] * n_atoms
+    depth = [-1] * n_atoms
+    n_components = 0
+    for root in range(n_atoms):
+        if depth[root] >= 0:
+            continue
+        n_components += 1
+        depth[root] = 0
+        queue = [root]
+        while queue:
+            nxt: list[int] = []
+            for cur in queue:
+                for nbr, bidx in adj[cur]:
+                    if depth[nbr] < 0:
+                        parent[nbr] = cur
+                        parent_bond[nbr] = bidx
+                        depth[nbr] = depth[cur] + 1
+                        nxt.append(nbr)
+            queue = nxt
+    if n_bonds - n_atoms + n_components == 0:
+        return RingInfo(
+            rings=(),
+            atom_in_ring=(False,) * n_atoms,
+            bond_in_ring=(False,) * n_bonds,
+            atom_ring_count=(0,) * n_atoms,
+            smallest_ring_size=(None,) * n_atoms,
+        )
+
+    ring_bond = [False] * n_bonds
+    fundamentals: list[tuple[int, tuple[int, ...]]] = []
+    cycles_at = [0] * n_atoms
+    for bidx, b in enumerate(bonds):
+        x, y = b.i, b.j
+        if parent_bond[x] == bidx or parent_bond[y] == bidx:
+            continue
+        ring_bond[bidx] = True
+        up, down = [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                up.append(x)
+                ring_bond[parent_bond[x]] = True
+                x = parent[x]
+            else:
+                down.append(y)
+                ring_bond[parent_bond[y]] = True
+                y = parent[y]
+        up.append(x)
+        cycle = tuple(up + down[::-1])
+        for a in cycle:
+            cycles_at[a] += 1
+        fundamentals.append((bidx, cycle))
+    cyclomatic = len(fundamentals)
+
+    bond_of: dict[tuple[int, int], int] = {}
+    for bidx, flag in enumerate(ring_bond):
+        if flag:
+            b = bonds[bidx]
+            bond_of[b.i, b.j] = bond_of[b.j, b.i] = bidx
+
+    rings: list[tuple[int, ...]] = []
+    joined: list[tuple[int, tuple[int, ...]]] = []
+    for bidx, cycle in fundamentals:
+        if all(cycles_at[a] == 1 for a in cycle):
+            rings.append(_oracle_normalize_cycle(cycle))
+        else:
+            joined.append((bidx, cycle))
+
+    if joined:
+        ring_atoms = {a for _, cycle in joined for a in cycle}
+        ring_adj = {a: [(x, bidx) for x, bidx in adj[a] if ring_bond[bidx]] for a in ring_atoms}
+        candidates = set()
+        for bidx, _ in joined:
+            b = bonds[bidx]
+            paths = _oracle_shortest_cycles_through(b.i, b.j, bidx, ring_adj)
+            candidates.add(
+                min((_oracle_normalize_cycle(p) for p in paths), key=lambda c: (tuple(sorted(c)), c))
+            )
+        basis: dict[int, int] = {}
+        for cycle in sorted(candidates, key=_oracle_ring_key):
+            if _gf2_insert(_oracle_cycle_edge_mask(cycle, bond_of), basis):
+                rings.append(cycle)
+        if len(rings) < cyclomatic:
+            for cycle in sorted({_oracle_normalize_cycle(c) for _, c in joined}, key=_oracle_ring_key):
+                if len(rings) == cyclomatic:
+                    break
+                if _gf2_insert(_oracle_cycle_edge_mask(cycle, bond_of), basis):
+                    rings.append(cycle)
+
+    rings.sort(key=_oracle_ring_key)
+    atom_in_ring = [False] * n_atoms
+    bond_in_ring = [False] * n_bonds
+    ring_count = [0] * n_atoms
+    smallest: list[int | None] = [None] * n_atoms
+    for cycle in rings:
+        prev = cycle[-1]
+        for a in cycle:
+            atom_in_ring[a] = True
+            ring_count[a] += 1
+            if smallest[a] is None:
+                smallest[a] = len(cycle)
+            bond_in_ring[bond_of[prev, a]] = True
+            prev = a
+    return RingInfo(
+        rings=tuple(rings),
+        atom_in_ring=tuple(atom_in_ring),
+        bond_in_ring=tuple(bond_in_ring),
+        atom_ring_count=tuple(ring_count),
+        smallest_ring_size=tuple(smallest),
+    )
+
+
+def sanitize_oracle(draft: MoleculeDraft) -> Molecule:
+    """The molecule ``sanitize`` must build from ``draft``, or the error
+    it must raise: bond checks, then aromatic bonds, then every atom's
+    own checks, then valences, each in index order."""
+    drafts = draft.atoms
+    n = len(drafts)
+    pairs = set()
+    for b in draft.bonds:
+        if not (0 <= b.i < n and 0 <= b.j < n) or b.i == b.j:
+            raise ValueError(f"invalid bond endpoints ({b.i}, {b.j})")
+        pair = (min(b.i, b.j), max(b.i, b.j))
+        if pair in pairs:
+            raise ValueError(f"duplicate bond between atoms {b.i} and {b.j}")
+        pairs.add(pair)
+    adj = _oracle_adjacency(n, draft.bonds)
+    rings = perceive_rings_oracle(n, draft.bonds)
+
+    bonds = list(draft.bonds)
+    n_arom = [0] * n
+    other_sum = [0] * n
+    for bidx, b in enumerate(bonds):
+        if b.order is BondOrder.AROMATIC:
+            if not (drafts[b.i].aromatic_flag and drafts[b.j].aromatic_flag):
+                raise AromaticityError(
+                    f"aromatic bond between non-aromatic atoms {b.i} and {b.j}"
+                )
+            if rings.bond_in_ring[bidx]:
+                n_arom[b.i] += 1
+                n_arom[b.j] += 1
+                continue
+            bonds[bidx] = Bond(b.i, b.j, BondOrder.SINGLE)
+            value = 1
+        else:
+            value = {BondOrder.SINGLE: 1, BondOrder.DOUBLE: 2, BondOrder.TRIPLE: 3}[b.order]
+        other_sum[b.i] += value
+        other_sum[b.j] += value
+
+    for idx, a in enumerate(drafts):
+        if not 1 <= a.element <= MAX_ELEMENT:
+            raise ValueError(f"atom {idx}: element out of range: {a.element}")
+        if a.isotope is not None and a.isotope < 0:
+            raise ValueError(f"atom {idx}: negative isotope")
+        if a.explicit_h is not None and a.explicit_h < 0:
+            raise ValueError(f"atom {idx}: negative explicit hydrogen count")
+        if a.aromatic_flag and not rings.atom_in_ring[idx]:
+            raise AromaticityError(f"aromatic atom {idx} is not in any ring")
+
+    atoms: list[Atom] = []
+    total_h: list[int] = []
+    for idx, a in enumerate(drafts):
+        h = a.explicit_h
+        bond_sum = other_sum[idx] + (h or 0)
+        implicit = default_implicit_h(a.element, a.formal_charge, n_arom[idx], bond_sum)
+        if implicit is None:
+            vals = permitted_valences(a.element, a.formal_charge)
+            raise ValenceError(
+                f"atom {idx} ({symbol_of(a.element)}): bond order sum "
+                f"{bond_sum + (3 * n_arom[idx]) // 2} exceeds permitted valences {vals}"
+            )
+        if h is not None:
+            implicit = h
+        degree = sum(1 for nbr, _ in adj[idx] if drafts[nbr].element != 1)
+        atoms.append(Atom(a.element, a.formal_charge, a.isotope, implicit, a.aromatic_flag, degree))
+        total_h.append(implicit + len(adj[idx]) - degree)
+
+    return Molecule(
+        atoms=tuple(atoms),
+        bonds=tuple(bonds),
+        neighbors=tuple(map(tuple, adj)),
+        rings=rings,
+        total_h=tuple(total_h),
+        source_text=draft.source_text,
+    )
 
 
 # ---------------------------------------------------------- isomorphism

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from molfp import (
     sanitize,
 )
 from molfp.chem import AtomDraft, Bond, BondOrder, MoleculeDraft
+from molfp.corpus import synthetic_smiles
 from molfp.smiles import parse_smiles
 
 from .oracles import (
@@ -26,8 +29,12 @@ from .oracles import (
     independent_cycles,
     permute_draft,
     random_permutation,
+    sanitize_oracle,
     shortest_path_matrix,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from molecules import FULL_LADDER, large_set, to_smiles  # noqa: E402
 
 
 def test_h2_double_bond_is_valence_error():
@@ -118,6 +125,99 @@ def test_sanitize_rejects_malformed_draft():
             sanitize(MoleculeDraft(atoms=list(atoms), bonds=list(bonds)))
     # The boundary values are accepted.
     sanitize(MoleculeDraft(atoms=[AtomDraft(1), AtomDraft(118, isotope=0, explicit_h=0)]))
+
+
+# Drafts with two faults: the error sanitize has always raised first.
+# Bond checks come before atom checks, and every atom's own checks
+# (element, isotope, explicit H, aromatic outside a ring) before any
+# valence.
+_O, _F, _C = AtomDraft(8), AtomDraft(9), AtomDraft(6)
+_S, _D, _T, _R = BondOrder.SINGLE, BondOrder.DOUBLE, BondOrder.TRIPLE, BondOrder.AROMATIC
+TWO_FAULTS = [
+    (
+        [_O, _O, AtomDraft(0)], [Bond(0, 1, _T)],
+        ValueError, "atom 2: element out of range: 0",
+    ),
+    (
+        [_O, _O, AtomDraft(6, aromatic_flag=True)], [Bond(0, 1, _T)],
+        AromaticityError, "aromatic atom 2 is not in any ring",
+    ),
+    (
+        [_F, _F, _C, AtomDraft(6, isotope=-1)], [Bond(0, 1, _D), Bond(2, 3, _S)],
+        ValueError, "atom 3: negative isotope",
+    ),
+    (
+        [_O, _O, AtomDraft(8, explicit_h=-1)], [Bond(0, 1, _T)],
+        ValueError, "atom 2: negative explicit hydrogen count",
+    ),
+    (
+        [AtomDraft(0), _C, _C], [Bond(1, 2, _R)],
+        AromaticityError, "aromatic bond between non-aromatic atoms 1 and 2",
+    ),
+    (
+        [_C, _C], [Bond(0, 1, _S), Bond(1, 0, _S), Bond(0, 7, _S)],
+        ValueError, "duplicate bond between atoms 1 and 0",
+    ),
+    (
+        [AtomDraft(6, aromatic_flag=True), AtomDraft(119)], [],
+        AromaticityError, "aromatic atom 0 is not in any ring",
+    ),
+    (
+        [_O, _O, _F, _F], [Bond(0, 1, _T), Bond(2, 3, _D)],
+        ValenceError, r"atom 0 \(O\): bond order sum 3 exceeds permitted valences \(2,\)",
+    ),
+]
+
+
+@pytest.mark.parametrize("atoms,bonds,error,message", TWO_FAULTS)
+def test_error_precedence(atoms, bonds, error, message):
+    draft = MoleculeDraft(atoms=atoms, bonds=bonds)
+    with pytest.raises(error, match=f"^{message}$") as exc:
+        sanitize(draft)
+    assert type(exc.value) is error
+    with pytest.raises(error, match=f"^{message}$"):
+        sanitize_oracle(draft)
+
+
+@pytest.mark.parametrize(
+    "smiles,message",
+    [
+        # The fluorine is overvalent too; the aromatic atom is reported.
+        ("F(C)c", "aromatic atom 2 is not in any ring"),
+        ("C(FCC)cC=C", "aromatic atom 4 is not in any ring"),
+    ],
+)
+def test_aromatic_atom_reported_before_valence(smiles, message):
+    with pytest.raises(AromaticityError, match=f"^{message}$"):
+        from_smiles(smiles)
+
+
+class TestSanitizeOracle:
+    """sanitize builds the molecule the direct algorithm builds, in
+    parsed and in shuffled atom orders."""
+
+    @staticmethod
+    def check(texts, rng, shuffles):
+        for smi in texts:
+            draft = parse_smiles(smi)
+            assert sanitize(draft) == sanitize_oracle(draft), smi
+            for _ in range(shuffles):
+                shuffled = permute_draft(draft, random_permutation(len(draft.atoms), rng))
+                assert sanitize(shuffled) == sanitize_oracle(shuffled), smi
+
+    def test_corpus(self):
+        self.check(synthetic_smiles(300, seed=13), random.Random(13), 3)
+
+    def test_large_molecules(self):
+        texts = [to_smiles(g) for g in large_set(13, FULL_LADDER)]
+        assert len(texts) == 47
+        self.check(texts, random.Random(13), 2)
+
+    def test_equal_atoms_are_shared(self):
+        a, b = from_smiles("CCO"), from_smiles("OCC")
+        assert a.atoms[0] is b.atoms[2]
+        assert parse_smiles("CC").atoms[0] is parse_smiles("CN").atoms[0]
+        assert parse_smiles("[13CH3]C").atoms[0] is parse_smiles("[13CH3]O").atoms[0]
 
 
 def test_empty_draft_gives_empty_molecule():

@@ -42,6 +42,7 @@ from .oracles import (
     path_fingerprint_oracle,
     permute_draft,
     random_permutation,
+    sanitize_oracle,
     torsion_feature_count,
 )
 from .test_cli import spoked_wheel_smiles
@@ -436,3 +437,28 @@ def test_bulk_top_k_rejects_dense():
     dense = DenseMatrix(np.zeros((2, 4)), "u8")
     with pytest.raises(ShapeError):
         bulk_top_k(FingerprintVector(4, "binary", {0: 1}), dense, 1)
+
+
+def test_sanitize_matches_oracle():
+    # Cages, spiro and bridged systems, fused ladders, macrocycles and
+    # many components, in parsed and in shuffled atom orders: fused ring
+    # bases depend on the BFS forest, so on the atom order.
+    texts = [
+        *CAGES,
+        spoked_wheel_smiles(99),
+        NEOPENTYL_DENDRIMER,
+        *RING_ORDERS,
+        ".".join(["C1CC1"] * 20),
+        "c1ccccc1.c1ccccc1.C",
+        "[Na+].[Cl-].[Na+].[Cl-]",
+        TestLargeRing.MACROCYCLE,
+        *LARGE.values(),
+        polyacene(5),
+    ]
+    rng = random.Random(23)
+    for smi in texts:
+        draft = parse_smiles(smi)
+        assert sanitize(draft) == sanitize_oracle(draft), smi
+        for _ in range(5):
+            shuffled = permute_draft(draft, random_permutation(len(draft.atoms), rng))
+            assert sanitize(shuffled) == sanitize_oracle(shuffled), smi

@@ -38,6 +38,7 @@ from molfp import (
 from molfp.corpus import synthetic_smiles
 from molfp.smarts import (
     MAX_MAPPINGS,
+    MAX_STEPS,
     And,
     CompiledPatterns,
     MoleculeView,
@@ -453,6 +454,28 @@ class TestEnumerationCap:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert found == (False, 0)
+
+    def test_search_steps_are_bounded(self):
+        # The three-generation pattern with one leaf of the first arm moved
+        # to hang off the last leaf: a tree of 53 atoms and 52 bonds, like
+        # the molecule, so it passes both screens, has no mapping and
+        # exponentially many partial ones; it ends at MAX_STEPS.
+        first = "C(C(C)C)(C(C)(C)C)C(C)(C)C"
+        last = "C(C(C)(C)C)(C(C)(C)C)C(C)(C)CC"
+        pat, mol = parse_smarts(f"C({first})({_ARM})({_ARM}){last}"), from_smiles(DENDRIMER_3)
+        assert (pat.n_atoms, len(pat.bond_list)) == (53, 52)
+
+        def timeout(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            with pytest.raises(MatchLimitError, match=f"more than {MAX_STEPS} candidate atoms"):
+                has_match(pat, mol)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     def test_bond_no_target_bond_satisfies(self):
         mol = from_smiles("CCC(C)CO")
