@@ -14,6 +14,7 @@ across workers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -64,6 +65,11 @@ ORGANIC_TWO = ("Cl", "Br")
 ORGANIC_ONE = frozenset("BCNOPSFI")
 ORGANIC_AROMATIC = frozenset("bcnops")
 ORGANIC_SUBSET = frozenset(_ATOMIC_NUMBER[s] for s in (*ORGANIC_TWO, *ORGANIC_ONE))
+# The bare organic-subset symbols as one regular-expression alternation
+# without groups, the atom token that SMILES and SMARTS share.
+ORGANIC_RE = "|".join(map(re.escape, ORGANIC_TWO)) + "|[" + "".join(
+    map(re.escape, sorted(ORGANIC_ONE | ORGANIC_AROMATIC))
+) + "]"
 
 # Lowercase (aromatic) symbols and the elements allowed to carry the flag.
 LOWERCASE_AROMATIC = {
@@ -224,13 +230,6 @@ def _ring_key(cycle: tuple[int, ...]) -> tuple:
     return (len(cycle), tuple(sorted(cycle)), cycle)
 
 
-def _cycle_edge_mask(cycle: tuple[int, ...], bond_of: dict[tuple[int, int], int]) -> int:
-    mask = 0
-    for prev, a in zip(cycle[-1:] + cycle[:-1], cycle):
-        mask |= 1 << bond_of[prev, a]
-    return mask
-
-
 def _gf2_add(mask: int, basis: dict[int, int]) -> bool:
     """Insert an edge-set vector into a GF(2) xor basis keyed by leading bit.
 
@@ -315,7 +314,9 @@ def perceive_rings(n_atoms: int, bonds: list[Bond] | tuple[Bond, ...]) -> RingIn
     through it over ring bonds only, ties broken by the smallest sorted
     atom tuple.  If those cycles fall short of the cycle space's rank
     (bonds - atoms + components), as under some atom orders in fused or
-    bridged systems, the forest's fundamental cycles complete the basis.
+    bridged systems, the forest's fundamental cycles complete the basis;
+    each one's edge mask is read off the forest, as its non-tree bond and
+    the parent bonds of its atoms below their common ancestor.
 
     Ring membership comes from the fundamental cycles, not from the
     basis: every bond on a cycle lies on a fundamental one, so
@@ -409,16 +410,21 @@ def _perceive_rings(
                 rings.append(cycle)
 
         if len(rings) < cyclomatic:
-            # Complete the basis with fundamental cycles of the forest.
-            bond_of: dict[tuple[int, int], int] = {}
-            for bidx, flag in enumerate(ring_bond):
-                if flag:
-                    b = bonds[bidx]
-                    bond_of[b.i, b.j] = bond_of[b.j, b.i] = bidx
-            for cycle in sorted({_normalize_cycle(c) for _, c in joined}, key=_ring_key):
+            # Complete the basis with fundamental cycles of the forest: a
+            # cycle's bonds are its non-tree bond and the parent bonds of
+            # its atoms but the shallowest, their common ancestor.
+            forest: dict[tuple[int, ...], int] = {}  # cycle -> edge mask
+            for bidx, cycle in joined:
+                top = min(cycle, key=depth.__getitem__)
+                mask = 1 << bidx
+                for a in cycle:
+                    if a != top:
+                        mask |= 1 << parent_bond[a]
+                forest[_normalize_cycle(cycle)] = mask
+            for cycle in sorted(forest, key=_ring_key):
                 if len(rings) == cyclomatic:
                     break
-                if _gf2_add(_cycle_edge_mask(cycle, bond_of), basis):
+                if _gf2_add(forest[cycle], basis):
                     rings.append(cycle)
 
     if len(rings) > 1:

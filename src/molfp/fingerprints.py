@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, repeat
+from itertools import chain, compress, groupby, repeat
 from zlib import crc32
 
 from .chem import (
@@ -216,12 +215,6 @@ def _type_code(element: int, degree: int, aromatic: bool) -> int:
     return stable_hash32(TAG_ATOM_TYPE, element, degree, int(aromatic))
 
 
-# Above this many slots the atom-pair tally is a dict keyed by slot
-# instead of a flat list.  The list has (cap + 1) * (types + 1)^2 slots,
-# past this size only with dozens of distinct atom types.
-_MAX_TALLY_SLOTS = 1 << 16
-
-
 def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     """Hash (type, topological distance, type) for every heavy-atom pair
     within the distance cap; cross-component pairs are excluded.
@@ -229,13 +222,16 @@ def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     Column ``c`` stands for the c-th smallest heavy atom type; the
     hydrogens share one last column.  The atoms are renumbered in column
     order, so that a pair counted from its lower atom has the lower
-    column first.  One breadth-first search per heavy atom, over plain
-    int neighbour lists and one ``seen`` list stamped with the source,
-    stops at the cap or once every higher atom is reached, so the cost
-    is the atom count times the atoms within the cap.  A pair of columns
-    a <= b at distance d is counted in one flat list at slot
-    d * width^2 + a * width + b (width = columns).  Each nonzero
-    heavy-atom slot is one distinct (type, distance, type), hashed once.
+    column first, and the sources of one column are consecutive.  One
+    breadth-first search per heavy atom, over plain int neighbour lists
+    and one ``seen`` list stamped with the source, stops at the cap or
+    once every higher atom is reached, so the cost is the atom count
+    times the atoms within the cap.  The sources of column a count their
+    pairs in one list of (cap + 1) * width slots (width = columns), a
+    pair at distance d with column b at slot d * width + b, read out once
+    those sources are done, so memory is linear in the column count.
+    Each nonzero heavy-atom slot is one distinct (type, distance, type),
+    hashed once.
     """
     n = mol.n_atoms
     types = [
@@ -254,41 +250,36 @@ def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     n_heavy = n - types.count(None)
 
     width = n_types + 1
-    plane = width * width  # slots per distance
     cap = min(cfg.distance_cap, n - 1)
-    size = (cap + 1) * plane
-    tally = [0] * size if size <= _MAX_TALLY_SLOTS else defaultdict(int)
-    seen = [-1] * n
-    for i in range(n_heavy - 1):  # the last heavy atom has no heavy partner above it
-        seen[i] = i
-        frontier = [i]
-        slot = col[i] * width
-        left = n - 1 - i  # atoms above i not reached yet
-        for _ in range(cap):
-            slot += plane
-            reached = []
-            for cur in frontier:
-                for j in nbrs[cur]:
-                    if seen[j] != i:
-                        seen[j] = i
-                        reached.append(j)
-                        if j > i:
-                            tally[slot + col[j]] += 1
-                            left -= 1
-            if not (reached and left):
-                break
-            frontier = reached
-
-    if isinstance(tally, list):
-        nonzero = zip(compress(range(size), tally), filter(None, tally))
-    else:
-        nonzero = tally.items()
+    size = (cap + 1) * width
     pairs: dict[tuple[int, int, int], int] = {}
-    for slot, count in nonzero:
-        d, rest = divmod(slot, plane)
-        a, b = divmod(rest, width)
-        if b < n_types:
-            pairs[distinct[a], d, distinct[b]] = count
+    seen = [-1] * n
+    # The last heavy atom has no heavy partner above it.
+    for a, sources in groupby(range(n_heavy - 1), key=col.__getitem__):
+        tally = [0] * size
+        for i in sources:
+            seen[i] = i
+            frontier = [i]
+            slot = 0
+            left = n - 1 - i  # atoms above i not reached yet
+            for _ in range(cap):
+                slot += width
+                reached = []
+                for cur in frontier:
+                    for j in nbrs[cur]:
+                        if seen[j] != i:
+                            seen[j] = i
+                            reached.append(j)
+                            if j > i:
+                                tally[slot + col[j]] += 1
+                                left -= 1
+                if not (reached and left):
+                    break
+                frontier = reached
+        for slot, count in zip(compress(range(size), tally), filter(None, tally)):
+            d, b = divmod(slot, width)
+            if b < n_types:
+                pairs[distinct[a], d, distinct[b]] = count
     return _hashed(pairs, TAG_ATOM_PAIR, cfg)
 
 

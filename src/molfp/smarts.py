@@ -4,7 +4,11 @@ Atom primitives: #n, element symbols (aromatic lowercase), a/A, *,
 D<n>, H<n>, X<n>, R/R<n>, r/r<n>, +/- charges.  Bond primitives:
 - = # : ~ @.  Operators: ! (not), & or juxtaposition (and), , (or),
 ; (low-precedence and).  Recursive SMARTS, stereo, isotopes, and
-component grouping are rejected as unsupported.
+component grouping are rejected as unsupported.  The text is read as one
+stream of tokens, as ``smiles.tokenize`` reads SMILES: bracket atoms,
+bare atoms, runs of bond-expression characters, ring closures and
+parentheses.  A bond expression binds the atom or ring closure after it;
+one before ``(`` or ``)`` is an error, as in SMILES.
 
 Matching enumerates injective homomorphisms (pattern bonds must exist
 and match in the target; extra target bonds are allowed) by an
@@ -20,22 +24,13 @@ no target atom satisfies, is screened out before the search starts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .chem import (
-    LOWERCASE_AROMATIC,
-    ORGANIC_AROMATIC,
-    ORGANIC_ONE,
-    ORGANIC_TWO,
-    Molecule,
-    atomic_number,
-)
+from .chem import LOWERCASE_AROMATIC, ORGANIC_RE, Molecule, atomic_number
 from .errors import KeySetError, MatchLimitError, SmartsSyntaxError, UnsupportedPrimitiveError
-
-_BOND_CHARS = set("-=#:~@!&,;")
-_BARE_ATOM_STARTS = ORGANIC_ONE | ORGANIC_AROMATIC | set("*aA")
 
 # The most mappings one pattern may enumerate on one molecule, past
 # which match, count_unique and the count variant raise MatchLimitError:
@@ -331,15 +326,42 @@ class _AtomExprScanner(_ExprScanner):
         self.unsupported(c)
 
 
+# One group per token kind, numbered as below: a bracket atom, a bare
+# atom, a run of bond-expression characters, a ring closure and a
+# parenthesis; the sixth takes any other character, which starts no token.
+_TOKEN_RE = re.compile(
+    rf"(\[[^\]]*\])|({ORGANIC_RE}|[*aA])|([-=#:~@!&,;]+)|([0-9]|%[0-9][0-9])|([()])|(.)",
+    re.DOTALL,
+)
+_BRACKET, _ATOM, _BOND, _RING, _PAREN = range(1, 6)
+
+# The error at a character that starts no token; any not listed is an
+# unknown symbol.
+_BAD_CHARS = {
+    "[": (SmartsSyntaxError, "unclosed bracket"),
+    "%": (SmartsSyntaxError, "%% ring closure needs two digits"),
+    "$": (UnsupportedPrimitiveError, "$(...) recursive SMARTS"),
+    ".": (UnsupportedPrimitiveError, "'.' component grouping"),
+    "/": (UnsupportedPrimitiveError, "stereo bond"),
+    "\\": (UnsupportedPrimitiveError, "stereo bond"),
+}
+
+
 def _parse_bond_expr(text: str, base_pos: int):
     """Parse a run of bond-expression characters; None for empty text."""
     return _BondExprScanner(text, base_pos).parse() if text else None
 
 
 def parse_smarts(text: str) -> SmartsPattern:
-    """Compile SMARTS text into a query pattern graph.  A bad ring closure
-    (no atom yet, conflicting bond expressions, a loop, a second bond
-    between two atoms) raises SmartsSyntaxError at the closure token."""
+    """Compile SMARTS text into a query pattern graph.
+
+    The text is read as one stream of tokens (see ``_TOKEN_RE``), left to
+    right, so the first error in the text wins.  A bond expression binds
+    the atom or ring closure that follows it; one pending at ``(`` or
+    ``)`` is parsed, so that an error inside it wins, and then raises
+    SmartsSyntaxError at the parenthesis.  A bad ring closure (no atom
+    yet, conflicting bond expressions, a loop, a second bond between two
+    atoms) raises SmartsSyntaxError at the closure token."""
     stripped = text.strip()
     if not stripped:
         raise SmartsSyntaxError("empty SMARTS", 0)
@@ -355,8 +377,6 @@ def parse_smarts(text: str) -> SmartsPattern:
     open_rings: dict[int, tuple[int, str, int]] = {}
     parent: list[int | None] = []  # per atom, the other end of its chain bond
     closed: set[tuple[int, int]] = set()  # ring-closure bonds so far, both orientations
-    i = 0
-    n = len(stripped)
 
     def add_bond(qi: int, qj: int, run: str, run_pos: int) -> None:
         # With no expression, single, or single or aromatic between two
@@ -370,88 +390,65 @@ def parse_smarts(text: str) -> SmartsPattern:
         bonds.append((qi, qj))
         bond_exprs.append(expr)
 
-    def add_atom(expr) -> None:
-        nonlocal anchor, pending
-        atoms.append(expr)
-        adjacency.append([])
-        parent.append(anchor)
-        if anchor is not None:
-            add_bond(anchor, len(atoms) - 1, pending, pending_pos)
-        pending = ""
-        anchor = len(atoms) - 1
-
-    while i < n:
-        c = stripped[i]
-        if c == "[":
-            end = stripped.find("]", i)
-            if end < 0:
-                raise SmartsSyntaxError("unclosed bracket", i)
-            add_atom(_AtomExprScanner(stripped[i + 1 : end], i + 1).parse())
-            i = end + 1
-        elif c == "$":
-            raise UnsupportedPrimitiveError("$(...) recursive SMARTS", i)
-        elif c == ".":
-            raise UnsupportedPrimitiveError("'.' component grouping", i)
-        elif c in "/\\":
-            raise UnsupportedPrimitiveError("stereo bond", i)
-        elif c in _BARE_ATOM_STARTS:
-            width = 2 if stripped[i : i + 2] in ORGANIC_TWO else 1
-            add_atom(_AtomExprScanner(stripped[i : i + width], i).parse())
-            i += width
-        elif c in _BOND_CHARS:
+    for m in _TOKEN_RE.finditer(stripped):
+        kind, tok, pos = m.lastindex, m.group(), m.start()
+        if kind == _BRACKET or kind == _ATOM:
+            body, base = (tok[1:-1], pos + 1) if kind == _BRACKET else (tok, pos)
+            atoms.append(_AtomExprScanner(body, base).parse())
+            adjacency.append([])
+            parent.append(anchor)
+            new = len(atoms) - 1
+            if anchor is not None:
+                add_bond(anchor, new, pending, pending_pos)
+                pending = ""
+            anchor = new
+        elif kind == _BOND:
             if anchor is None:
-                raise SmartsSyntaxError("bond expression before any atom", i)
-            j = i
-            while j < n and stripped[j] in _BOND_CHARS:
-                j += 1
-            pending = stripped[i:j]
-            pending_pos = i
-            i = j
-        elif "0" <= c <= "9" or c == "%":
-            start = i
-            if c == "%":
-                digits = stripped[i + 1 : i + 3]
-                if i + 2 >= n or not (digits.isascii() and digits.isdigit()):
-                    raise SmartsSyntaxError("%% ring closure needs two digits", i)
-                num = int(digits)
-                i += 3
-            else:
-                num = int(c)
-                i += 1
+                raise SmartsSyntaxError("bond expression before any atom", pos)
+            pending, pending_pos = tok, pos
+        elif kind == _RING:
             if anchor is None:
-                raise SmartsSyntaxError("ring closure before any atom", start)
+                raise SmartsSyntaxError("ring closure before any atom", pos)
+            num = int(tok.lstrip("%"))
             if num in open_rings:
                 other, other_run, other_pos = open_rings.pop(num)
                 if other_run and pending and other_run != pending:
                     raise SmartsSyntaxError(
-                        f"conflicting bond expressions on ring closure {num}", start
+                        f"conflicting bond expressions on ring closure {num}", pos
                     )
                 run = pending or other_run
                 run_pos = pending_pos if pending else other_pos
                 if other == anchor:
-                    raise SmartsSyntaxError(f"ring closure {num} forms a self-loop", start)
+                    raise SmartsSyntaxError(f"ring closure {num} forms a self-loop", pos)
                 # Chain bonds join atoms to their parents; other bonds are closures.
                 if parent[anchor] == other or parent[other] == anchor or (anchor, other) in closed:
                     raise SmartsSyntaxError(
-                        f"duplicate bond between atoms {anchor} and {other}", start
+                        f"duplicate bond between atoms {anchor} and {other}", pos
                     )
                 closed.update(((anchor, other), (other, anchor)))
                 add_bond(anchor, other, run, run_pos)
             else:
                 open_rings[num] = (anchor, pending, pending_pos)
             pending = ""
-        elif c == "(":
-            if anchor is None:
-                raise SmartsSyntaxError("branch before any atom", i)
-            branch_stack.append(anchor)
-            i += 1
-        elif c == ")":
-            if not branch_stack:
-                raise SmartsSyntaxError("unmatched ')'", i)
-            anchor = branch_stack.pop()
-            i += 1
+        elif kind == _PAREN:
+            # A bond binds only an atom or a ring closure; the error in
+            # its own expression, which comes first in the text, wins.
+            _parse_bond_expr(pending, pending_pos)
+            if tok == "(":
+                if anchor is None:
+                    raise SmartsSyntaxError("branch before any atom", pos)
+                if pending:
+                    raise SmartsSyntaxError("bond expression before branch open", pos)
+                branch_stack.append(anchor)
+            else:
+                if not branch_stack:
+                    raise SmartsSyntaxError("unmatched ')'", pos)
+                if pending:
+                    raise SmartsSyntaxError("dangling bond expression before ')'", pos)
+                anchor = branch_stack.pop()
         else:
-            raise SmartsSyntaxError(f"unknown symbol {c!r}", i)
+            error, message = _BAD_CHARS.get(tok, (SmartsSyntaxError, f"unknown symbol {tok!r}"))
+            raise error(message, pos)
 
     if pending:
         raise SmartsSyntaxError("dangling bond expression", pending_pos)
@@ -459,7 +456,7 @@ def parse_smarts(text: str) -> SmartsPattern:
         num, (_, _, pos) = min(open_rings.items(), key=lambda kv: kv[1][2])
         raise SmartsSyntaxError(f"ring closure {num} never matched", pos)
     if branch_stack:
-        raise SmartsSyntaxError("unclosed '('", n - 1)
+        raise SmartsSyntaxError("unclosed '('", len(stripped) - 1)
     if not atoms:
         raise SmartsSyntaxError("no atoms in pattern", 0)
 

@@ -21,6 +21,7 @@ from .chem import (
     LOWERCASE_AROMATIC,
     ORGANIC_AROMATIC,
     ORGANIC_ONE,
+    ORGANIC_RE,
     ORGANIC_SUBSET,
     ORGANIC_TWO,
     AtomDraft,
@@ -59,11 +60,8 @@ _BRACKET_RE = re.compile(
 
 
 # One alternative per token kind, without groups, so that findall
-# returns the token texts.  Two-letter organic symbols are tried first.
-_ORGANIC_RE = "|".join(map(re.escape, ORGANIC_TWO)) + "|[" + "".join(
-    map(re.escape, sorted(ORGANIC_ONE | ORGANIC_AROMATIC))
-) + "]"
-_TOKEN_RE = re.compile(rf"{_ORGANIC_RE}|\[[^\]]*\]|[-=#:/\\]|[0-9]|%[0-9][0-9]|\(|\)|\.")
+# returns the token texts.
+_TOKEN_RE = re.compile(rf"{ORGANIC_RE}|\[[^\]]*\]|[-=#:/\\]|[0-9]|%[0-9][0-9]|\(|\)|\.")
 _ORGANIC, _BRACKET, _BOND, _RING, _OPEN, _CLOSE, _DOT = range(1, 8)
 
 # A token's kind number by its first character, which no two kinds share.

@@ -576,6 +576,24 @@ def test_ring_closure_errors_at_the_closure_token(text, message, position):
     assert (exc.value.message, exc.value.position) == (message, position)
 
 
+# A bond expression binds only an atom or a ring closure, as in SMILES;
+# an error inside the expression comes first in the text and wins.
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("C=(C)C", "bond expression before branch open", 2),
+        ("C(C=)C", "dangling bond expression before ')'", 4),
+        ("C(=)C", "dangling bond expression before ')'", 3),
+        ("[NX3+]!(=[OX1])[OX1-]", "bad bond expression char ''", 7),
+        ("[CX3](=[OX1]),([#6])[#6]", "bad bond expression char ','", 13),
+    ],
+)
+def test_bond_expression_before_a_parenthesis(text, message, position):
+    with pytest.raises(SmartsSyntaxError) as exc:
+        parse_smarts(text)
+    assert (exc.value.message, exc.value.position) == (message, position)
+
+
 def test_ring_closures_between_distinct_pairs_are_kept():
     assert parse_smarts("C1CC1").bond_list == ((0, 1), (1, 2), (2, 0))
     assert parse_smarts("C12CC1C2").bond_list == ((0, 1), (1, 2), (2, 0), (2, 3), (3, 0))
