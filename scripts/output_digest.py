@@ -20,8 +20,9 @@ fused ring bases depend; then one line over the canonical SMILES of the
 corpus and the large molecules, and one over their ``canonical_ranks``;
 then one line over the ecfp count rows of the large molecules, one
 over their atom_pair count rows at each distance cap of 1, 3 and 30,
-and one over their substructure count rows; then one line per path
-(min_path, max_path) of (1, 1), (2, 4) and (1, 10), variant and set
+and one over their substructure count rows; then one line over the
+corpus ecfp and fcfp count rows at radius 0, 1 and 3; then one line per
+path (min_path, max_path) of (1, 1), (2, 4) and (1, 10), variant and set
 (corpus, large molecules) over those rows; then one line over the
 binary and count substructure rows of the corpus for the hand-written
 key set of ``tests/oracles.py``; then one line over the ``bulk_top_k`` hits of 71 queries against the
@@ -310,6 +311,12 @@ def main() -> int:
         rows = [fp.transform_one(smi) for smi in large]
         line = digest(from_rows(rows, "sparse"))
         print(f"{line}  {label} count rows of {len(large)} large molecules", flush=True)
+    h = hashlib.sha256()
+    for family in ("ecfp", "fcfp"):
+        for radius in (0, 1, 3):
+            fp = Fingerprinter(FingerprintConfig(family=family, variant="count", radius=radius))
+            h.update(digest(from_rows([fp.transform_one(smi) for smi in smiles], "sparse")).encode())
+    print(f"{h.hexdigest()}  ecfp and fcfp count rows of corpus at radius 0, 1 and 3", flush=True)
     for lo, hi in ((1, 1), (2, 4), (1, 10)):
         for variant in ("binary", "count"):
             fp = Fingerprinter(

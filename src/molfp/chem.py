@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter
 
 from .errors import AromaticityError, ValenceError
@@ -623,18 +623,21 @@ def sanitize(draft: MoleculeDraft) -> Molecule:
     )
 
 
+# The ECFP seed of an invariant tuple, hashed once per distinct tuple.
+_invariant_code = lru_cache(maxsize=4096)(partial(stable_hash32, TAG_ATOM_INVARIANT))
+
+
 def initial_atom_invariant(mol: Molecule, idx: int) -> int:
     """Seed code for circular fingerprints: a stable hash of the atom's
     local tuple (element, heavy degree, total H, charge, isotope,
     in-ring flag, aromatic flag)."""
     a = mol.atoms[idx]
-    return stable_hash32(
-        TAG_ATOM_INVARIANT,
+    return _invariant_code(
         a.element,
         a.degree,
         mol.total_h[idx],
         a.charge,
-        a.isotope if a.isotope is not None else 0,
-        int(mol.rings.atom_in_ring[idx]),
-        int(a.aromatic),
+        a.isotope or 0,
+        mol.rings.atom_in_ring[idx],
+        a.aromatic,
     )

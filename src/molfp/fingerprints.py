@@ -14,7 +14,7 @@ import struct
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, groupby, repeat
+from itertools import compress, groupby, repeat
 from zlib import crc32
 
 from .chem import (
@@ -42,6 +42,9 @@ N_DESCRIPTORS = 10
 
 # Row variant -> matrix dtype, narrowest first; a union takes the widest.
 VARIANT_DTYPES = {"binary": "u8", "count": "u32", "real": "f64"}
+
+_pack_code = struct.Struct(">q").pack
+_BOND_BYTES = {order: _pack_code(code) for order, code in BOND_CODE.items()}
 
 
 @dataclass(frozen=True)
@@ -112,22 +115,20 @@ class FingerprintConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
 
 
-def _from_counts(counts: dict[int, int], length: int, variant: str) -> FingerprintVector:
-    if variant == "binary":
-        return FingerprintVector(length, "binary", {i: 1 for i in counts})
-    return FingerprintVector(length, "count", dict(counts))
-
-
 def _fold(
     codes: Iterable[int], ns: Iterable[int], cfg: FingerprintConfig
 ) -> FingerprintVector:
     """Fold 32-bit feature codes into a vector: each count in ``ns``
-    lands at its code modulo the length."""
+    lands at its code modulo the length; a binary row stores 1 at each
+    code's index."""
+    length = cfg.length
+    if cfg.variant == "binary":
+        return FingerprintVector(length, "binary", {code % length: 1 for code in codes})
     counts: dict[int, int] = {}
     for code, n in zip(codes, ns):
-        idx = code % cfg.length
+        idx = code % length
         counts[idx] = counts.get(idx, 0) + n
-    return _from_counts(counts, cfg.length, cfg.variant)
+    return FingerprintVector(length, "count", counts)
 
 
 def _hashed(
@@ -142,39 +143,42 @@ def _circular(mol: Molecule, cfg: FingerprintConfig, seeds: list[int]) -> Finger
     """Shared ECFP/FCFP iteration.
 
     Iteration k hashes (k, own previous code, sorted (bond code,
-    neighbor previous code) pairs).  Its environment is the set of bonds
-    with an endpoint within k - 1 bonds of the atom, grown by the
-    recurrence env_1(a) = bonds incident to a, env_k(a) = env_{k-1}(a)
-    united with env_{k-1}(nbr) over the neighbors of a.  An environment
-    whose bond set was already produced by an earlier environment (lower
-    iteration first, then lower identifier) is discarded; iteration-0
-    environments are one per atom and never collide.
+    neighbor previous code) pairs) as ``crc32(pairs, crc32(own,
+    hash_seed(TAG_ECFP, k)))``, codes packed as ``>q`` bytes; the pairs
+    sort as bytes as they do as integers (see ``path_fingerprint``).
+    Its environment is the int bitmask of the bonds with an endpoint
+    within k - 1 bonds of the atom: the atom's mask of iteration k - 1
+    (0 before the first), OR each neighbor's mask and the bond to it.
+    Every seed is kept.  In iteration k an environment that an earlier
+    iteration produced is dropped, and any other keeps the smallest
+    identifier among the atoms that produce it.
     """
-    bond_codes = [BOND_CODE[b.order] for b in mol.bonds]
-    # (iteration, identifier, dedup key); radius-0 keys are per-atom.
-    features: list[tuple[int, int, object]] = [
-        (0, code, ("atom", idx)) for idx, code in enumerate(seeds)
-    ]
+    kept = list(seeds)
     codes = seeds
-    envs = [frozenset(bidx for _, bidx in nbrs) for nbrs in mol.neighbors]
+    neighbors = mol.neighbors
+    bond_bytes = [_BOND_BYTES[b.order] for b in mol.bonds]
+    envs = [0] * len(seeds)
+    seen: set[int] = set()  # environments of the earlier iterations
     for k in range(1, cfg.radius + 1):
-        if k > 1:
-            envs = [
-                env.union(*(envs[nbr] for nbr, _ in nbrs))
-                for env, nbrs in zip(envs, mol.neighbors)
-            ]
-        new_codes = []
-        for a, nbrs in enumerate(mol.neighbors):
-            parts = sorted((bond_codes[bidx], codes[nbr]) for nbr, bidx in nbrs)
-            ident = stable_hash32(TAG_ECFP, k, codes[a], *chain.from_iterable(parts))
-            new_codes.append(ident)
-            features.append((k, ident, envs[a]))
-        codes = new_codes
-
-    kept: dict[object, int] = {}  # environment -> identifier of its first feature
-    for _, ident, env in sorted(features, key=lambda f: (f[0], f[1])):
-        kept.setdefault(env, ident)
-    return _fold(kept.values(), repeat(1), cfg)
+        grown = []
+        for env, nbrs in zip(envs, neighbors):
+            for j, b in nbrs:
+                env |= envs[j] | 1 << b
+            grown.append(env)
+        envs = grown
+        seed = hash_seed(TAG_ECFP, k)
+        packed = [_pack_code(code) for code in codes]
+        codes = [
+            crc32(b"".join(sorted([bond_bytes[b] + packed[j] for j, b in nbrs])), crc32(own, seed))
+            for own, nbrs in zip(packed, neighbors)
+        ]
+        best: dict[int, int] = {}
+        for env, ident in zip(envs, codes):
+            if env not in seen and ident < best.get(env, 1 << 32):
+                best[env] = ident
+        seen.update(best)
+        kept += best.values()
+    return _fold(kept, repeat(1), cfg)
 
 
 def ecfp(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
@@ -316,7 +320,6 @@ def _path_atom_code(element: int, aromatic: bool, degree: int) -> int:
 
 
 _PATH_SEED = hash_seed(TAG_PATH)
-_pack_code = struct.Struct(">q").pack
 _pack_pair = struct.Struct(">qq").pack
 
 

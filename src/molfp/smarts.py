@@ -361,10 +361,13 @@ def parse_smarts(text: str) -> SmartsPattern:
     ``)`` is parsed, so that an error inside it wins, and then raises
     SmartsSyntaxError at the parenthesis.  A bad ring closure (no atom
     yet, conflicting bond expressions, a loop, a second bond between two
-    atoms) raises SmartsSyntaxError at the closure token."""
+    atoms) raises SmartsSyntaxError at the closure token.  Positions
+    count in ``text`` as given, leading whitespace included."""
     stripped = text.strip()
     if not stripped:
         raise SmartsSyntaxError("empty SMARTS", 0)
+    offset = text.index(stripped[0])
+    end = offset + len(stripped)
 
     atoms: list = []
     bonds: list[tuple[int, int]] = []
@@ -390,7 +393,7 @@ def parse_smarts(text: str) -> SmartsPattern:
         bonds.append((qi, qj))
         bond_exprs.append(expr)
 
-    for m in _TOKEN_RE.finditer(stripped):
+    for m in _TOKEN_RE.finditer(text, offset, end):
         kind, tok, pos = m.lastindex, m.group(), m.start()
         if kind == _BRACKET or kind == _ATOM:
             body, base = (tok[1:-1], pos + 1) if kind == _BRACKET else (tok, pos)
@@ -456,7 +459,7 @@ def parse_smarts(text: str) -> SmartsPattern:
         num, (_, _, pos) = min(open_rings.items(), key=lambda kv: kv[1][2])
         raise SmartsSyntaxError(f"ring closure {num} never matched", pos)
     if branch_stack:
-        raise SmartsSyntaxError("unclosed '('", len(stripped) - 1)
+        raise SmartsSyntaxError("unclosed '('", end - 1)
     if not atoms:
         raise SmartsSyntaxError("no atoms in pattern", 0)
 

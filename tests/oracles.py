@@ -13,6 +13,7 @@ import math
 import random
 
 from molfp.chem import (
+    BOND_CODE,
     MAX_ELEMENT,
     Atom,
     Bond,
@@ -25,7 +26,15 @@ from molfp.chem import (
     symbol_of,
 )
 from molfp.errors import AromaticityError, ValenceError
-from molfp.hashing import TAG_ATOM_PAIR, TAG_ATOM_TYPE, TAG_PATH, TAG_PATH_ATOM, stable_hash32
+from molfp.hashing import (
+    TAG_ATOM_INVARIANT,
+    TAG_ATOM_PAIR,
+    TAG_ATOM_TYPE,
+    TAG_ECFP,
+    TAG_PATH,
+    TAG_PATH_ATOM,
+    stable_hash32,
+)
 from molfp.smarts import And, MoleculeView, Not, Or, Prim, SmartsPattern
 
 
@@ -752,6 +761,67 @@ def ecfp_feature_count(mol: Molecule, radius: int) -> int:
             )
             envs.add(env)
     return mol.n_atoms + len(envs)
+
+
+def atom_invariant_oracle(mol: Molecule, idx: int) -> int:
+    """The ECFP seed of atom ``idx``, hashed from its tuple on every call."""
+    a = mol.atoms[idx]
+    return stable_hash32(
+        TAG_ATOM_INVARIANT,
+        a.element,
+        a.degree,
+        mol.total_h[idx],
+        a.charge,
+        a.isotope if a.isotope is not None else 0,
+        int(mol.rings.atom_in_ring[idx]),
+        int(a.aromatic),
+    )
+
+
+def circular_oracle(mol: Molecule, cfg, seeds: list[int]) -> dict[int, int]:
+    """The ECFP/FCFP row entries from frozenset environments and one sort
+    of every feature.
+
+    Iteration k hashes (k, own previous code, sorted (bond code,
+    neighbor previous code) pairs).  Its environment is the set of bonds
+    with an endpoint within k - 1 bonds of the atom, grown by the
+    recurrence env_1(a) = bonds incident to a, env_k(a) = env_{k-1}(a)
+    united with env_{k-1}(nbr) over the neighbors of a.  An environment
+    whose bond set was already produced by an earlier environment (lower
+    iteration first, then lower identifier) is discarded; iteration-0
+    environments are one per atom and never collide.  Each kept
+    identifier counts 1 at its value modulo ``cfg.length``; binary rows
+    store 1 at each index.
+    """
+    bond_codes = [BOND_CODE[b.order] for b in mol.bonds]
+    # (iteration, identifier, dedup key); radius-0 keys are per-atom.
+    features: list[tuple[int, int, object]] = [
+        (0, code, ("atom", idx)) for idx, code in enumerate(seeds)
+    ]
+    codes = seeds
+    envs = [frozenset(bidx for _, bidx in nbrs) for nbrs in mol.neighbors]
+    for k in range(1, cfg.radius + 1):
+        if k > 1:
+            envs = [
+                env.union(*(envs[nbr] for nbr, _ in nbrs))
+                for env, nbrs in zip(envs, mol.neighbors)
+            ]
+        new_codes = []
+        for a, nbrs in enumerate(mol.neighbors):
+            parts = sorted((bond_codes[bidx], codes[nbr]) for nbr, bidx in nbrs)
+            ident = stable_hash32(TAG_ECFP, k, codes[a], *itertools.chain.from_iterable(parts))
+            new_codes.append(ident)
+            features.append((k, ident, envs[a]))
+        codes = new_codes
+
+    kept: dict[object, int] = {}  # environment -> identifier of its first feature
+    for _, ident, env in sorted(features, key=lambda f: (f[0], f[1])):
+        kept.setdefault(env, ident)
+    counts: dict[int, int] = {}
+    for ident in kept.values():
+        idx = ident % cfg.length
+        counts[idx] = counts.get(idx, 0) + 1
+    return counts if cfg.variant == "count" else dict.fromkeys(counts, 1)
 
 
 def atom_pair_feature_count(mol: Molecule, cap: int) -> int:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,17 +29,24 @@ from molfp import (
     topological_torsion,
 )
 from molfp.chem import MoleculeDraft
+from molfp.corpus import synthetic_smiles
+from molfp.fingerprints import _feature_class_code
 from molfp.smarts import default_key_set_path, load_key_set
 from molfp.smiles import parse_smiles
 
 from .oracles import (
+    atom_invariant_oracle,
     atom_pair_feature_count,
+    circular_oracle,
     ecfp_feature_count,
     path_feature_count,
     permute_draft,
     random_permutation,
     torsion_feature_count,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from molecules import FULL_LADDER, large_set, to_smiles  # noqa: E402
 
 KEYS = load_key_set(default_key_set_path())
 
@@ -84,6 +93,40 @@ class TestEcfp:
     def test_empty_molecule(self):
         v = ecfp(sanitize(MoleculeDraft()), cfg("ecfp"))
         assert v.entries == {}
+
+
+class TestCircularOracle:
+    """``ecfp`` and ``fcfp`` rows equal the frozenset-and-sort oracle,
+    binary and count, radius 0-3, at length 2048 and at 64, where folded
+    codes collide."""
+
+    DISCONNECTED = ("[Na+].[Cl-]", "C.C", "[Na+].[Na+].[O-2]")  # isolated atoms share env {}
+
+    def _check(self, mol):
+        n = range(mol.n_atoms)
+        seeds = {
+            "ecfp": [atom_invariant_oracle(mol, i) for i in n],
+            "fcfp": [_feature_class_code(mol, i) for i in n],
+        }
+        for family, row in (("ecfp", ecfp), ("fcfp", fcfp)):
+            for radius in (0, 1, 2, 3):
+                for length in (2048, 64):
+                    for variant in ("binary", "count"):
+                        c = cfg(family, radius=radius, length=length, variant=variant)
+                        want = circular_oracle(mol, c, seeds[family])
+                        assert row(mol, c).entries == want, (mol.source_text, c)
+
+    def test_disconnected(self):
+        for smi in self.DISCONNECTED:
+            self._check(from_smiles(smi))
+
+    def test_corpus(self):
+        for smi in synthetic_smiles(300, 13):
+            self._check(from_smiles(smi))
+
+    def test_large_molecules(self):
+        for g in large_set(13, FULL_LADDER):
+            self._check(from_smiles(to_smiles(g)))
 
 
 class TestFcfp:

@@ -594,6 +594,32 @@ def test_bond_expression_before_a_parenthesis(text, message, position):
     assert (exc.value.message, exc.value.position) == (message, position)
 
 
+# Positions count in the text as given: leading whitespace shifts each
+# error's position by its length.
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("  C(=)C", 5),   # a bond expression before ')'
+        ("\tC-", 2),      # a dangling bond expression at the end
+        ("  [C;x]", 5),   # inside a bracket atom
+        ("  C=,C", 5),    # inside a bond expression
+        (" C(C", 3),      # an unclosed branch, at the last character
+        ("  $(C)", 2),    # a character that starts no token
+        ("  C C ", 3),    # whitespace inside the pattern
+        ("  )C", 2),      # an unmatched ')'
+    ],
+)
+def test_error_positions_count_leading_whitespace(text, position):
+    with pytest.raises(MolfpError) as exc:
+        parse_smarts(text)
+    with pytest.raises(MolfpError) as bare:
+        parse_smarts(text.lstrip())
+    shift = len(text) - len(text.lstrip())
+    assert type(exc.value) is type(bare.value)
+    assert exc.value.message == bare.value.message
+    assert (exc.value.position, bare.value.position + shift) == (position, position)
+
+
 def test_ring_closures_between_distinct_pairs_are_kept():
     assert parse_smarts("C1CC1").bond_list == ((0, 1), (1, 2), (2, 0))
     assert parse_smarts("C12CC1C2").bond_list == ((0, 1), (1, 2), (2, 0), (2, 3), (3, 0))
