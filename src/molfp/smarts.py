@@ -12,20 +12,30 @@ one before ``(`` or ``)`` is an error, as in SMILES.
 
 Matching enumerates injective homomorphisms (pattern bonds must exist
 and match in the target; extra target bonds are allowed) by an
-iterative depth-first search over candidate bitmasks, placing the most
-constrained query atoms first.  Patterns are compiled together into
-numbered expression slots (see CompiledPatterns), each an integer
-bitmask over atoms or bonds on one molecule: primitives are read from
-a table of per-molecule facts filled in one pass (see MoleculeView),
-composites computed once.  A one-atom pattern is answered from its
-mask; a larger one with more atoms than the molecule, or with an atom
-no target atom satisfies, is screened out before the search starts.
+iterative depth-first search over candidate bitmasks.  Patterns are
+compiled together into numbered expression slots (see
+CompiledPatterns), each an integer bitmask over atoms or bonds on one
+molecule.  Atoms are grouped by class (see MoleculeView): the slots a
+class satisfies are evaluated once, on that class's facts, and kept in
+a bounded cache, so a molecule only ORs each class's atoms into them.
+Bond slots are read from a table of per-molecule bond facts, composites
+computed once.  A one-atom pattern is answered from its mask; a larger
+one with more atoms or bonds than the molecule, or with an atom or bond
+no target satisfies, is screened out before the search starts.
+
+Substructure rows, ``has_match`` and ``count_unique`` search each
+pattern along a route that its compiled form plans once per root query
+atom: the molecule picks only the root, the query atom with the fewest
+candidates.  ``match`` orders query atoms per molecule
+(``_assignment_order``), since its mapping order is part of its result.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
 
@@ -35,16 +45,19 @@ from .errors import KeySetError, MatchLimitError, SmartsSyntaxError, Unsupported
 # The most mappings one pattern may enumerate on one molecule, past
 # which match, count_unique and the count variant raise MatchLimitError:
 # a three-generation neopentyl dendrimer has 4! x (3!)^16 self-matches.
-# Default keys enumerate at most 396 on the seeded corpus and the large
-# benchmark molecules; the two-generation dendrimer's self-matches, 31,104.
+# Default keys enumerate at most 48 on the seeded corpus and 396 on the
+# large benchmark molecules, in any search order; the two-generation
+# dendrimer's self-matches, 31,104.
 MAX_MAPPINGS = 100_000
 
 # The most candidate atoms one search may try, past which it raises
 # MatchLimitError too: a pattern that passes the atom and bond screens
 # can still try exponentially many partial mappings and complete none.
-# Default keys try at most 3,597 on the seeded corpus and the large
-# benchmark molecules; the three-generation dendrimer's self-match
-# reaches MAX_MAPPINGS after 315,177.
+# Default keys try at most 456 on the seeded corpus and 3,597 on the
+# large benchmark molecules, both along compiled routes and in match's
+# per-molecule order; the three-generation dendrimer's self-match
+# reaches MAX_MAPPINGS after 315,177 in match's order and 300,042 along
+# its compiled route.
 MAX_STEPS = 1_000_000
 
 
@@ -72,15 +85,18 @@ class Or:
 
 
 class MoleculeView:
-    """One molecule's SMARTS primitives as integer bitmasks.
+    """One molecule's atoms grouped by class, and its bond primitives as
+    integer bitmasks.
 
     Bit ``i`` of an atom mask is atom ``i``; bit ``b`` of a bond mask is
-    bond ``b``.  The constructor makes one pass over the atoms and one
-    over the bonds, recording every primitive each one satisfies as a
-    ``(kind, value)`` fact and ORing its bit into that fact's mask; a
-    primitive no atom or bond has is absent.  CompiledPatterns.masks
-    reads its primitive slots from these tables.  Callers matching many
-    patterns against one molecule should reuse one view.
+    bond ``b``.  An atom's class is its shared ``Atom`` with its total
+    hydrogen count, ring count, smallest ring size, ring flag and
+    neighbour count: atoms of one class satisfy the same atom
+    primitives.  ``classes`` maps each class to the mask of its atoms.
+    The bond pass records every primitive each bond satisfies as a
+    ``(kind, value)`` fact in ``bond_facts`` and ORs its bit into that
+    fact's mask; a primitive no bond has is absent.  Callers matching
+    many patterns against one molecule should reuse one view.
     """
 
     def __init__(self, mol: Molecule):
@@ -88,25 +104,18 @@ class MoleculeView:
         self.n_bonds = len(mol.bonds)
         self.neighbors = mol.neighbors
         rings = mol.rings
-        atom_facts: dict[tuple[str, int | None], int] = {}
-        for i, atom in enumerate(mol.atoms):
-            facts = [
-                ("element", atom.element),
-                ("symbol_aromatic" if atom.aromatic else "symbol_aliphatic", atom.element),
-                ("aromatic" if atom.aromatic else "aliphatic", 0),
-                ("degree", atom.degree),
-                ("total_h", mol.total_h[i]),
-                ("connectivity", len(mol.neighbors[i]) + atom.implicit_h),
-                ("ring_count", rings.atom_ring_count[i]),
-                ("ring_size", rings.smallest_ring_size[i]),
-                ("charge", atom.charge),
-            ]
-            if rings.atom_in_ring[i]:
-                facts.append(("in_ring", 0))
-            bit = 1 << i
-            for fact in facts:
-                atom_facts[fact] = atom_facts.get(fact, 0) | bit
-        atom_facts["wildcard", 0] = (1 << self.n) - 1
+        classes: dict[tuple, int] = {}
+        bit = 1
+        for cls in zip(
+            mol.atoms,
+            mol.total_h,
+            rings.atom_ring_count,
+            rings.smallest_ring_size,
+            rings.atom_in_ring,
+            map(len, mol.neighbors),
+        ):
+            classes[cls] = classes.get(cls, 0) | bit
+            bit <<= 1
         # Bonds are tallied by order, and each order is named once:
         # BondOrder.name is a slow property.
         by_order: dict = {}
@@ -118,8 +127,29 @@ class MoleculeView:
         bond_facts = {(order.name.lower(), 0): m for order, m in by_order.items()}
         bond_facts["any", 0] = (1 << self.n_bonds) - 1
         bond_facts["ring", 0] = ring
-        self.atom_facts = atom_facts
+        self.classes = classes
         self.bond_facts = bond_facts
+
+
+def _class_facts(cls: tuple) -> list[tuple[str, int | None]]:
+    """Every atom primitive an atom of class ``cls`` (see MoleculeView)
+    satisfies, as ``(kind, value)`` facts."""
+    atom, total_h, ring_count, ring_size, in_ring, n_neighbors = cls
+    facts = [
+        ("element", atom.element),
+        ("symbol_aromatic" if atom.aromatic else "symbol_aliphatic", atom.element),
+        ("aromatic" if atom.aromatic else "aliphatic", 0),
+        ("degree", atom.degree),
+        ("total_h", total_h),
+        ("connectivity", n_neighbors + atom.implicit_h),
+        ("ring_count", ring_count),
+        ("ring_size", ring_size),
+        ("charge", atom.charge),
+        ("wildcard", 0),
+    ]
+    if in_ring:
+        facts.append(("in_ring", 0))
+    return facts
 
 
 def _implies_aromatic(expr) -> bool:
@@ -377,7 +407,9 @@ def parse_smarts(text: str) -> SmartsPattern:
     pending: str = ""
     pending_pos = 0
     branch_stack: list[int] = []
-    open_rings: dict[int, tuple[int, str, int]] = {}
+    # Per open ring number: its atom, its bond run and the run's position,
+    # and the position of its digit.
+    open_rings: dict[int, tuple[int, str, int, int]] = {}
     parent: list[int | None] = []  # per atom, the other end of its chain bond
     closed: set[tuple[int, int]] = set()  # ring-closure bonds so far, both orientations
 
@@ -414,7 +446,7 @@ def parse_smarts(text: str) -> SmartsPattern:
                 raise SmartsSyntaxError("ring closure before any atom", pos)
             num = int(tok.lstrip("%"))
             if num in open_rings:
-                other, other_run, other_pos = open_rings.pop(num)
+                other, other_run, other_pos, _ = open_rings.pop(num)
                 if other_run and pending and other_run != pending:
                     raise SmartsSyntaxError(
                         f"conflicting bond expressions on ring closure {num}", pos
@@ -431,7 +463,7 @@ def parse_smarts(text: str) -> SmartsPattern:
                 closed.update(((anchor, other), (other, anchor)))
                 add_bond(anchor, other, run, run_pos)
             else:
-                open_rings[num] = (anchor, pending, pending_pos)
+                open_rings[num] = (anchor, pending, pending_pos, pos)
             pending = ""
         elif kind == _PAREN:
             # A bond binds only an atom or a ring closure; the error in
@@ -456,7 +488,7 @@ def parse_smarts(text: str) -> SmartsPattern:
     if pending:
         raise SmartsSyntaxError("dangling bond expression", pending_pos)
     if open_rings:
-        num, (_, _, pos) = min(open_rings.items(), key=lambda kv: kv[1][2])
+        num, (*_, pos) = min(open_rings.items(), key=lambda kv: kv[1][3])
         raise SmartsSyntaxError(f"ring closure {num} never matched", pos)
     if branch_stack:
         raise SmartsSyntaxError("unclosed '('", end - 1)
@@ -472,10 +504,10 @@ def parse_smarts(text: str) -> SmartsPattern:
     )
 
 
-def _assignment_order(pattern: SmartsPattern, amasks: list[int]) -> list[int]:
-    """Query atom processing order: most constrained first, then grow
+def _assignment_order(pattern: SmartsPattern, counts: list[int]) -> list[int]:
+    """Query atom processing order for ``match``, given each query atom's
+    number of candidate target atoms: most constrained first, then grow
     along pattern adjacency, preferring the fewest candidates."""
-    counts = [m.bit_count() for m in amasks]
     unplaced = set(range(pattern.n_atoms))
     frontier: set[int] = set()  # unplaced atoms bonded to a placed one
     order: list[int] = []
@@ -489,6 +521,92 @@ def _assignment_order(pattern: SmartsPattern, amasks: list[int]) -> list[int]:
     return order
 
 
+def _planned_order(pattern: SmartsPattern, root: int) -> list[int]:
+    """Query atom processing order for a search that starts at ``root``,
+    fixed when the route is planned: grow along pattern adjacency,
+    taking next the unplaced atom with the most bonds back to placed
+    atoms, then the most pattern bonds, then the lowest index.  A heap
+    of (priority, atom) entries keeps this linear-logarithmic in the
+    pattern size; an entry whose atom is placed is stale and skipped."""
+    adjacency = pattern.adjacency
+    placed = [False] * pattern.n_atoms
+    back = [0] * pattern.n_atoms  # per atom, its bonds to placed atoms
+    heap = [(0, 0, root)]
+    order: list[int] = []
+    lowest = 0  # no atom below it is unplaced
+    while len(order) < pattern.n_atoms:
+        if heap:
+            q = heappop(heap)[2]
+            if placed[q]:
+                continue
+        else:
+            # No unplaced atom is bonded to a placed one: the lowest-index
+            # unplaced atom starts the next pattern component.
+            while placed[lowest]:
+                lowest += 1
+            q = lowest
+        placed[q] = True
+        order.append(q)
+        for nbr, _ in adjacency[q]:
+            if not placed[nbr]:
+                back[nbr] += 1
+                heappush(heap, (-back[nbr], -len(adjacency[nbr]), nbr))
+    return order
+
+
+def _steps(pattern: SmartsPattern, aslots, bslots, order) -> tuple:
+    """Per query atom in ``order``: its atom slot, and a
+    ``(placed query atom, bond slot)`` link for each pattern bond back to
+    an atom placed before it."""
+    placed: set[int] = set()
+    steps = []
+    for q in order:
+        links = tuple((nbr, bslots[b]) for nbr, b in pattern.adjacency[q] if nbr in placed)
+        steps.append((aslots[q], links))
+        placed.add(q)
+    return tuple(steps)
+
+
+def _candidate_counts(aslots, bslots, m: list[int], view: MoleculeView) -> list[int] | None:
+    """Each query atom's number of candidate target atoms under the slot
+    masks ``m``; None when the pattern has more atoms or bonds than the
+    view's molecule, or an atom or bond that no target atom or bond
+    satisfies, and so no mapping."""
+    if len(aslots) > view.n or len(bslots) > view.n_bonds:
+        return None
+    counts = [m[s].bit_count() for s in aslots]
+    if 0 in counts or not all(m[s] for s in bslots):
+        return None
+    return counts
+
+
+def _evaluate(m: list[int], ops, facts: dict, full: int) -> None:
+    """Fill slot ``m[slot]`` for each ``(slot, expression class,
+    operand)`` of ``ops``, in order: a primitive is a lookup in
+    ``facts``; ``!``, ``&`` and ``,`` combine their operands' masks with
+    ``~`` (within ``full``), ``&`` and ``|``."""
+    for slot, op, arg in ops:
+        if op is Prim:
+            x = facts.get(arg, 0)
+        elif op is Not:
+            x = full & ~m[arg]
+        elif op is And:
+            x = -1
+            for a in arg:
+                x &= m[a]
+        else:
+            x = 0
+            for a in arg:
+                x |= m[a]
+        m[slot] = x
+
+
+# The most atom classes whose slots one CompiledPatterns keeps: the seeded
+# corpus has 53, about 6 per molecule, and the large benchmark molecules
+# 69.  The bound keeps unusual input from growing the table.
+_CLASS_CACHE_SIZE = 4096
+
+
 class CompiledPatterns:
     """Patterns compiled together: one numbered slot per distinct
     expression, so a molecule evaluates each expression once.
@@ -498,7 +616,11 @@ class CompiledPatterns:
     is an aromatic atom in one and an aromatic bond in the other.  Slots
     are numbered in post-order, so an operand's slot comes before its
     composite's.  ``plan[k]`` is pattern k with the slots of its atom
-    expressions and of its bond expressions.
+    expressions and of its bond expressions.  ``route(k, r)`` is the
+    search plan of pattern k from root query atom ``r``: its
+    ``_planned_order`` and that order's ``_steps``, planned on first use
+    and kept in ``routes``, so a key set plans each route once however
+    many molecules it matches.
     """
 
     def __init__(self, patterns):
@@ -527,36 +649,60 @@ class CompiledPatterns:
             for pattern in patterns
         )
         self.ops = tuple(ops)
+        self._init_caches()
+
+    def _init_caches(self) -> None:
+        self.routes: dict[tuple[int, int], tuple] = {}
+        numbered = [(s, op, arg, bond) for s, (op, bond, arg) in enumerate(self.ops)]
+        self._atom_ops = tuple((s, op, arg) for s, op, arg, bond in numbered if not bond)
+        self._bond_ops = tuple((s, op, arg) for s, op, arg, bond in numbered if bond)
+        self._class_slots = lru_cache(maxsize=_CLASS_CACHE_SIZE)(self._slots_of)
+
+    def __getstate__(self):
+        return {"plan": self.plan, "ops": self.ops}
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._init_caches()
+
+    def route(self, k: int, root: int) -> tuple:
+        """Pattern k's search plan from query atom ``root``: the order in
+        which to place its query atoms and that order's steps."""
+        route = self.routes.get((k, root))
+        if route is None:
+            pattern, aslots, bslots = self.plan[k]
+            order = _planned_order(pattern, root)
+            route = self.routes[k, root] = (order, _steps(pattern, aslots, bslots, order))
+        return route
+
+    def _slots_of(self, cls: tuple) -> tuple[int, ...]:
+        """The atom slots that an atom of class ``cls`` satisfies."""
+        m = [0] * len(self.ops)
+        _evaluate(m, self._atom_ops, dict.fromkeys(_class_facts(cls), 1), 1)
+        return tuple(s for s, _, _ in self._atom_ops if m[s])
 
     def masks(self, view: MoleculeView) -> list[int]:
         """Every slot's mask on the view's molecule, in slot order: the
-        atoms (or bonds) that satisfy the slot's expression.  A primitive
-        is a lookup in the view's facts; ``!``, ``&`` and ``,`` combine
-        their operands' masks with ``~``, ``&`` and ``|``."""
-        facts = (view.atom_facts, view.bond_facts)
-        full = ((1 << view.n) - 1, (1 << view.n_bonds) - 1)
-        m: list[int] = []
-        for op, bond, arg in self.ops:
-            if op is Prim:
-                x = facts[bond].get(arg, 0)
-            elif op is Not:
-                x = full[bond] & ~m[arg]
-            elif op is And:
-                x = -1
-                for a in arg:
-                    x &= m[a]
-            else:
-                x = 0
-                for a in arg:
-                    x |= m[a]
-            m.append(x)
+        atoms (or bonds) that satisfy the slot's expression.  Each atom
+        class's mask is ORed into the atom slots the class satisfies,
+        which are evaluated on the class's facts alone and cached per
+        class; bond slots are evaluated over the view's bond facts."""
+        m = [0] * len(self.ops)
+        class_slots = self._class_slots
+        for cls, bits in view.classes.items():
+            for s in class_slots(cls):
+                m[s] |= bits
+        _evaluate(m, self._bond_ops, view.bond_facts, (1 << view.n_bonds) - 1)
         return m
 
     def row(self, view: MoleculeView, count: bool) -> dict[int, int]:
         """Pattern index -> 1 for each pattern that matches (or, with
         ``count``, its number of distinct matched atom sets), in pattern
         order; patterns with no match are left out.  A one-atom pattern's
-        distinct atom sets are the set bits of its atom mask."""
+        distinct atom sets are the set bits of its atom mask.  A larger
+        one is searched along its route from the query atom with the
+        fewest candidates, the lowest index on a tie: neither result
+        depends on the order in which query atoms are placed."""
         m = self.masks(view)
         out = {}
         for k, (pattern, aslots, bslots) in enumerate(self.plan):
@@ -564,23 +710,25 @@ class CompiledPatterns:
                 hits = m[aslots[0]]
                 if hits:
                     out[k] = hits.bit_count() if count else 1
-            else:
-                found = _search(pattern, aslots, bslots, m, view, not count)
+                continue
+            counts = _candidate_counts(aslots, bslots, m, view)
+            if counts:
+                order, steps = self.route(k, counts.index(min(counts)))
+                found = _search(pattern, order, steps, m, view, not count)
                 if found:
                     out[k] = len(found)
         return out
 
 
-def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[int]:
+def _search(pattern, order, steps, m, view, first_only, mappings=None) -> set[int]:
     """The distinct target atom sets, as bitmasks, of the pattern's
-    mappings onto the view's molecule, given the slots of its atom and
-    bond expressions and the slot masks ``m``; with ``first_only``, stops
-    at the first mapping.  Each mapping is also appended to ``mappings``,
-    when given, as a tuple indexed by query atom.  Raises MatchLimitError
-    past MAX_MAPPINGS mappings or MAX_STEPS candidate atoms tried.  A
-    pattern with more atoms than the molecule, or with an atom no target
-    atom satisfies, has none; so has one with more bonds than the
-    molecule, or with a bond no target bond satisfies.
+    mappings onto the view's molecule, placing query atoms in ``order``
+    with the ``steps`` that ``_steps`` built for it and the slot masks
+    ``m``; with ``first_only``, stops at the first mapping.  Each mapping
+    is also appended to ``mappings``, when given, as a tuple indexed by
+    query atom.  Raises MatchLimitError past MAX_MAPPINGS mappings or
+    MAX_STEPS candidate atoms tried.  Callers screen the pattern first
+    (``_candidate_counts``).
 
     Depth-first search over candidate bitmasks (Ullmann, J. ACM 23:31,
     1976; VF2, Cordella et al., IEEE TPAMI 26:1367, 2004) on an explicit
@@ -594,28 +742,14 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
     neighbour, or every atom when there is none: mappings come out in
     that search's order.
     """
-    qn = pattern.n_atoms
-    amasks = [m[s] for s in aslots]
-    if qn > view.n or not all(amasks):
-        return set()
-    bmasks = [m[s] for s in bslots]
-    if len(bmasks) > view.n_bonds or not all(bmasks):
-        return set()
-    order = _assignment_order(pattern, amasks)
-    # Per step: the atom mask and (placed query atom, bond mask) per pattern bond back.
-    steps: list[tuple[int, list[tuple[int, int]]]] = []
-    placed: set[int] = set()
-    for q in order:
-        links = [(nbr, bmasks[b]) for nbr, b in pattern.adjacency[q] if nbr in placed]
-        steps.append((amasks[q], links))
-        placed.add(q)
+    qn = len(order)
     neighbors = view.neighbors
     assignment = [-1] * qn
     found: set[int] = set()
     enumerated = 0
     tried = 0
     used = 0
-    stack = [amasks[order[0]]]
+    stack = [m[steps[0][0]]]
     while stack:
         step = len(stack) - 1
         cands = stack[step]
@@ -647,9 +781,10 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
                 break
             continue
         used |= bit
-        cands, links = steps[step + 1]
-        cands &= ~used
-        for nbr_q, bmask in links:
+        aslot, links = steps[step + 1]
+        cands = m[aslot] & ~used
+        for nbr_q, bslot in links:
+            bmask = m[bslot]
             reach = 0
             for t, tb in neighbors[assignment[nbr_q]]:
                 if bmask >> tb & 1:
@@ -660,11 +795,19 @@ def _search(pattern, aslots, bslots, m, view, first_only, mappings=None) -> set[
 
 
 def match(pattern: SmartsPattern, mol: Molecule, view: MoleculeView | None = None) -> MatchSet:
-    """Enumerate all injective matches of a pattern in a molecule."""
+    """Enumerate all injective matches of a pattern in a molecule.
+
+    Mappings come out in the order of a search that places query atoms
+    in ``_assignment_order``, chosen for this molecule."""
     view = view or MoleculeView(mol)
     compiled = CompiledPatterns((pattern,))
+    m = compiled.masks(view)
+    _, aslots, bslots = compiled.plan[0]
     mappings: list[tuple[int, ...]] = []
-    _search(*compiled.plan[0], compiled.masks(view), view, False, mappings)
+    counts = _candidate_counts(aslots, bslots, m, view)
+    if counts:
+        order = _assignment_order(pattern, counts)
+        _search(pattern, order, _steps(pattern, aslots, bslots, order), m, view, False, mappings)
     unique = tuple(dict.fromkeys(map(frozenset, mappings)))
     return MatchSet(mappings=tuple(mappings), unique_atom_sets=unique)
 

@@ -77,28 +77,31 @@ _KIND_OF = {
 _first_char = itemgetter(0)
 
 
-def tokenize(text: str) -> list[tuple[int, str, int]]:
-    """Split SMILES text into (kind number, token text, position) tuples;
-    kind numbers are ``_ORGANIC`` to ``_DOT``.  Token spans are contiguous
-    and cover the whole input; the first character that starts no token
-    raises SmilesSyntaxError at its position."""
-    texts = _TOKEN_RE.findall(text)
+def tokenize(text: str, start: int = 0, end: int | None = None) -> list[tuple[int, str, int]]:
+    """Split ``text[start:end]`` (by default all of it) into (kind number,
+    token text, position) tuples, each position counted in ``text``; kind
+    numbers are ``_ORGANIC`` to ``_DOT``.  Token spans are contiguous and
+    cover the whole span; the first character that starts no token raises
+    SmilesSyntaxError at its position in ``text``."""
+    if end is None:
+        end = len(text)
+    texts = _TOKEN_RE.findall(text, start, end)
     # findall skips characters that start no token; the texts cover the
-    # input exactly when their lengths add up to it.
-    if sum(map(len, texts)) == len(text):
+    # span exactly when their lengths add up to it.
+    if sum(map(len, texts)) == end - start:
         kinds = map(_KIND_OF.__getitem__, map(_first_char, texts))
-        return list(zip(kinds, texts, accumulate(map(len, texts), initial=0)))
-    end = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != end:
+        return list(zip(kinds, texts, accumulate(map(len, texts), initial=start)))
+    pos = start
+    for m in _TOKEN_RE.finditer(text, start, end):
+        if m.start() != pos:
             break
-        end = m.end()
-    c = text[end]
+        pos = m.end()
+    c = text[pos]
     if c == "[":
-        raise SmilesSyntaxError("unclosed bracket atom", end)
+        raise SmilesSyntaxError("unclosed bracket atom", pos)
     if c == "%":
-        raise SmilesSyntaxError("%% ring closure needs two digits", end)
-    raise SmilesSyntaxError(f"unknown symbol {c!r}", end)
+        raise SmilesSyntaxError("%% ring closure needs two digits", pos)
+    raise SmilesSyntaxError(f"unknown symbol {c!r}", pos)
 
 
 def _parse_charge(text: str, pos: int) -> int:
@@ -168,6 +171,8 @@ def parse_smiles(text: str) -> MoleculeDraft:
     aromatic atoms is provisionally aromatic (sanitize demotes it to
     single when it lies outside every ring).  The whole text is tokenized
     first, so a character that starts no token wins over any grammar error.
+    Every error position counts in ``text`` as given, leading whitespace
+    included.
     """
     stripped = text.strip()
     if not stripped:
@@ -184,14 +189,12 @@ def parse_smiles(text: str) -> MoleculeDraft:
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
 
-    for kind, tok, tok_pos in tokenize(stripped):
-        pos = tok_pos + offset
+    for kind, tok, pos in tokenize(text, offset, offset + len(stripped)):
         if kind == _ORGANIC or kind == _BRACKET:
             if kind == _ORGANIC:
                 atom = _ORGANIC_ATOMS[tok]
             else:
-                # Errors inside a bracket atom count from the stripped text.
-                atom, stereo = _parse_bracket(tok, tok_pos)
+                atom, stereo = _parse_bracket(tok, pos)
                 if stereo:
                     draft.stereo_ignored = True
             atoms.append(atom)

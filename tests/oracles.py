@@ -35,7 +35,7 @@ from molfp.hashing import (
     TAG_PATH_ATOM,
     stable_hash32,
 )
-from molfp.smarts import And, MoleculeView, Not, Or, Prim, SmartsPattern
+from molfp.smarts import And, Not, Or, Prim, SmartsPattern
 
 
 # ---------------------------------------------------------------- cycles
@@ -639,11 +639,51 @@ HAND_KEY_TEXTS = (
 )
 
 
-def tree_mask(view: MoleculeView, expr, bond: bool = False) -> int:
+class FactTables:
+    """One molecule's SMARTS primitives as integer bitmasks, one table
+    per context, filled by one pass over the atoms and one over the
+    bonds: each atom or bond ORs its bit into the mask of every
+    ``(kind, value)`` fact it satisfies.  This is the per-atom table that
+    ``MoleculeView`` built before it grouped atoms by class."""
+
+    def __init__(self, mol: Molecule):
+        self.n = mol.n_atoms
+        self.n_bonds = len(mol.bonds)
+        rings = mol.rings
+        atom_facts: dict[tuple[str, int | None], int] = {}
+        for i, atom in enumerate(mol.atoms):
+            facts = [
+                ("element", atom.element),
+                ("symbol_aromatic" if atom.aromatic else "symbol_aliphatic", atom.element),
+                ("aromatic" if atom.aromatic else "aliphatic", 0),
+                ("degree", atom.degree),
+                ("total_h", mol.total_h[i]),
+                ("connectivity", len(mol.neighbors[i]) + atom.implicit_h),
+                ("ring_count", rings.atom_ring_count[i]),
+                ("ring_size", rings.smallest_ring_size[i]),
+                ("charge", atom.charge),
+                ("wildcard", 0),
+            ]
+            if rings.atom_in_ring[i]:
+                facts.append(("in_ring", 0))
+            for fact in facts:
+                atom_facts[fact] = atom_facts.get(fact, 0) | 1 << i
+        bond_facts: dict[tuple[str, int], int] = {}
+        for b, bond in enumerate(mol.bonds):
+            facts = [(bond.order.name.lower(), 0), ("any", 0)]
+            if rings.bond_in_ring[b]:
+                facts.append(("ring", 0))
+            for fact in facts:
+                bond_facts[fact] = bond_facts.get(fact, 0) | 1 << b
+        self.atom_facts = atom_facts
+        self.bond_facts = bond_facts
+
+
+def tree_mask(view: FactTables, expr, bond: bool = False) -> int:
     """Atoms (or, with ``bond``, bonds) that satisfy ``expr``, by a
-    recursive walk that reads each primitive from the view's fact
-    tables and recomputes ``!``, ``&`` and ``,`` on every call: the
-    evaluator that compiled expression slots replaced."""
+    recursive walk that reads each primitive from the fact tables and
+    recomputes ``!``, ``&`` and ``,`` on every call: the evaluator that
+    compiled expression slots replaced."""
     if isinstance(expr, Prim):
         facts = view.bond_facts if bond else view.atom_facts
         return facts.get((expr.kind, expr.value), 0)
@@ -672,7 +712,7 @@ def substructure_row_oracle(mol: Molecule, keys, variant: str) -> dict[int, int]
     search then places the query atoms in pattern order, each one among
     the neighbours of the target of an earlier query atom bonded to it,
     and collects the matched atom sets; binary stops at the first."""
-    view = MoleculeView(mol)
+    view = FactTables(mol)
     bond_of = {}
     for bidx, b in enumerate(mol.bonds):
         bond_of[b.i, b.j] = bond_of[b.j, b.i] = bidx

@@ -46,6 +46,11 @@ from molfp.smarts import (
     Or,
     Prim,
     SmartsKey,
+    _assignment_order,
+    _candidate_counts,
+    _CLASS_CACHE_SIZE,
+    _search,
+    _steps,
 )
 from molfp.smiles import parse_smiles
 
@@ -261,6 +266,7 @@ class TestMasks:
                 "[!#6]", "[!R]", "C!@C", "C!-C", "*~*", "c:a",
                 # Every primitive kind the parser emits, aliphatic and degree included.
                 "[D2]", "[A]", "[R0]", "[r]", "[se]", "[-]", "C#C", "C=C",
+                "[H1]", "[X4]", "[D1]", "[#1]", "[NH3+]",
             )
         ]
         compiled = CompiledPatterns(pats)
@@ -273,7 +279,12 @@ class TestMasks:
             pair for p, _, bslots in compiled.plan for pair in zip(p.bond_exprs, bslots)
         )
         # "C" has one atom and no bonds: negated bond prims run over nothing.
-        for smi in synthetic_smiles(150, seed=13) + ["C"]:
+        # Hydrogen atoms count in total_h and connectivity but not in
+        # degree; isotopes and charges set atoms of one element apart.
+        hydrogens = [
+            "[H]OC([H])([H])C", "[2H]C([2H])([2H])O", "[H][N+]([H])([H])C", "[H]c1ccccc1",
+        ]
+        for smi in synthetic_smiles(150, seed=13) + ["C"] + hydrogens:
             mol = from_smiles(smi)
             masks = compiled.masks(MoleculeView(mol))
             n_bonds = len(mol.bonds)
@@ -400,6 +411,105 @@ class TestCompiledKeySet:
         fp = Fingerprinter(FingerprintConfig(family="substructure"))
         assert isinstance(fp.keys, KeySet)
         assert isinstance(pickle.loads(pickle.dumps(fp)).keys, KeySet)
+
+
+def _per_molecule_order(pattern, mol, first_only):
+    """The pattern's matched atom sets by a search in the order
+    ``_assignment_order`` picks for this molecule, as ``match`` does."""
+    compiled = CompiledPatterns((pattern,))
+    view = MoleculeView(mol)
+    m = compiled.masks(view)
+    _, aslots, bslots = compiled.plan[0]
+    counts = _candidate_counts(aslots, bslots, m, view)
+    if not counts:
+        return set()
+    order = _assignment_order(pattern, counts)
+    return _search(pattern, order, _steps(pattern, aslots, bslots, order), m, view, first_only)
+
+
+class TestSearchPlan:
+    """Rows searched along routes that a compiled key set plans once per
+    pattern and root query atom."""
+
+    def test_rows_unchanged_under_atom_permutations(self):
+        keys = tuple(load_key_set(default_key_set_path()))
+        keys += tuple(k for k in HAND_KEYS if k.pattern.n_atoms < 34)
+        key_set = KeySet(keys)
+        rng = random.Random(29)
+        corpus = random.Random(29).sample(synthetic_smiles(2000, seed=13), 150)
+        large = [to_smiles(g) for g in large_set(13, FULL_LADDER)]
+        relabeled = 0
+        for smi in corpus + large:
+            draft = parse_smiles(smi)
+            mol = sanitize(draft)
+            want = {
+                variant: substructure_row_oracle(mol, keys, variant)
+                for variant in ("binary", "count")
+            }
+            for _ in range(2):
+                perm = random_permutation(len(draft.atoms), rng)
+                shuffled = sanitize(permute_draft(draft, perm))
+                # Ring perception picks its cycle basis by atom order, so
+                # on some polyaromatics an atom's ring count and smallest
+                # ring size move with the labels; there the permuted
+                # molecule is a different target, checked by the oracle.
+                same = all(
+                    (mol.rings.atom_ring_count[i], mol.rings.smallest_ring_size[i])
+                    == (shuffled.rings.atom_ring_count[j], shuffled.rings.smallest_ring_size[j])
+                    for i, j in enumerate(perm)
+                )
+                relabeled += same
+                view = MoleculeView(shuffled)
+                for variant, row in want.items():
+                    if not same:
+                        row = substructure_row_oracle(shuffled, keys, variant)
+                    got = key_set.compiled.row(view, count=variant == "count")
+                    assert got == row, (smi, perm, variant)
+        assert relabeled >= 2 * (len(corpus) + 40)
+
+    def test_has_match_and_count_unique_equal_the_per_molecule_order(self):
+        smiles = ["C", "CC", "CCO", "c1ccccc1", "c1ccc2ccccc2c1", "C1CC1CN", "OC(=O)c1ccncc1"]
+        smiles += synthetic_smiles(60, seed=13)
+        for smi in smiles:
+            mol = from_smiles(smi)
+            for key in HAND_KEYS:
+                pat = key.pattern
+                sets = _per_molecule_order(pat, mol, first_only=False)
+                assert has_match(pat, mol) == bool(_per_molecule_order(pat, mol, True)), smi
+                assert count_unique(pat, mol) == len(sets), (smi, pat.text)
+                # Every root's route finds the same atom sets.
+                compiled = CompiledPatterns((pat,))
+                view = MoleculeView(mol)
+                m = compiled.masks(view)
+                if _candidate_counts(*compiled.plan[0][1:], m, view):
+                    for root in range(pat.n_atoms):
+                        order, steps = compiled.route(0, root)
+                        assert _search(pat, order, steps, m, view, False) == sets, (smi, order)
+
+    def test_routes_place_every_query_atom_once(self):
+        compiled = CompiledPatterns([k.pattern for k in HAND_KEYS])
+        for k, (pattern, aslots, bslots) in enumerate(compiled.plan):
+            for root in range(pattern.n_atoms):
+                order, steps = compiled.route(k, root)
+                assert order[0] == root
+                assert sorted(order) == list(range(pattern.n_atoms))
+                # Each pattern bond is checked once, at its later atom.
+                assert sum(len(links) for _, links in steps) == len(pattern.bond_list)
+                assert [aslot for aslot, _ in steps] == [aslots[q] for q in order]
+                assert compiled.route(k, root) is compiled.route(k, root)
+        assert len(compiled.routes) == sum(p.n_atoms for p, _, _ in compiled.plan)
+        clone = pickle.loads(pickle.dumps(compiled))
+        assert clone.routes == {} and clone.route(2, 1) == compiled.route(2, 1)
+
+    def test_class_cache_is_bounded(self):
+        # Each isotope of carbon is its own atom class.
+        compiled = CompiledPatterns([parse_smarts(p) for p in ("[CH4]", "[!R]", "C~*")])
+        mols = [from_smiles(f"[{i}CH4]") for i in range(1, _CLASS_CACHE_SIZE + 101)]
+        first = compiled.masks(MoleculeView(mols[0]))
+        for mol in mols:
+            assert compiled.masks(MoleculeView(mol)) == first
+        assert compiled._class_slots.cache_info().currsize == _CLASS_CACHE_SIZE
+        assert compiled.masks(MoleculeView(mols[0])) == first
 
 
 DENDRIMER_2 = "C(C(C)(C)C)(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
@@ -568,6 +678,8 @@ def test_non_ascii_digits_are_syntax_errors(text, position):
         ("C12CC12", "duplicate bond between atoms 2 and 0", 6),
         ("C(C1)1", "duplicate bond between atoms 0 and 1", 5),
         ("C%10C%10", "duplicate bond between atoms 1 and 0", 5),
+        ("C1CC", "ring closure 1 never matched", 1),
+        ("CC-C1CC", "ring closure 1 never matched", 4),
     ],
 )
 def test_ring_closure_errors_at_the_closure_token(text, message, position):

@@ -194,7 +194,7 @@ PINNED_ERRORS = [
     ("C12CC12", SmilesSyntaxError, "duplicate bond between atoms 2 and 0", 6),
     ("C1C1", SmilesSyntaxError, "duplicate bond between atoms 1 and 0", 3),
     ("[Zz]", SmilesSyntaxError, "unknown element symbol 'Zz'", 0),
-    ("  [Zz]", SmilesSyntaxError, "unknown element symbol 'Zz'", 0),
+    ("  [Zz]", SmilesSyntaxError, "unknown element symbol 'Zz'", 2),
     ("[zz]", SmilesSyntaxError, "unknown aromatic symbol 'zz'", 0),
     ("[13]", SmilesSyntaxError, "malformed bracket atom '[13]'", 0),
     ("[C", SmilesSyntaxError, "unclosed bracket atom", 0),
@@ -202,7 +202,11 @@ PINNED_ERRORS = [
     ("[O-16]", ChargeOverflowError, "|charge| 16 exceeds 15", 0),
     ("[C++++++++++++++++]", ChargeOverflowError, "|charge| 16 exceeds 15", 0),
     ("C%1C", SmilesSyntaxError, "%% ring closure needs two digits", 1),
-    (" C%", SmilesSyntaxError, "%% ring closure needs two digits", 1),
+    (" C%", SmilesSyntaxError, "%% ring closure needs two digits", 2),
+    # Tokenizer, bracket-atom and grammar errors all count leading whitespace.
+    ("  C C ", SmilesSyntaxError, "unknown symbol ' '", 3),
+    ("  [C;x]", SmilesSyntaxError, "malformed bracket atom '[C;x]'", 2),
+    ("  C(=)C", SmilesSyntaxError, "dangling bond symbol before ')'", 5),
 ]
 
 
