@@ -4,11 +4,11 @@ Atom primitives: #n, element symbols (aromatic lowercase), a/A, *,
 D<n>, H<n>, X<n>, R/R<n>, r/r<n>, +/- charges.  Bond primitives:
 - = # : ~ @.  Operators: ! (not), & or juxtaposition (and), , (or),
 ; (low-precedence and).  Recursive SMARTS, stereo, isotopes, and
-component grouping are rejected as unsupported.  The text is read as one
-stream of tokens, as ``smiles.tokenize`` reads SMILES: bracket atoms,
-bare atoms, runs of bond-expression characters, ring closures and
-parentheses.  A bond expression binds the atom or ring closure after it;
-one before ``(`` or ``)`` is an error, as in SMILES.
+component grouping are rejected as unsupported.  ``smiles._walk`` reads
+the graph grammar, as for SMILES, from tokens read one at a time, each
+bond expression as it arrives, so the first error in the text wins.  A
+bond expression binds the atom or ring closure after it; one before
+``(`` or ``)`` is an error, as in SMILES.
 
 Matching enumerates injective homomorphisms (pattern bonds must exist
 and match in the target; extra target bonds are allowed) by an
@@ -41,6 +41,7 @@ from pathlib import Path
 
 from .chem import LOWERCASE_AROMATIC, ORGANIC_RE, Molecule, atomic_number
 from .errors import KeySetError, MatchLimitError, SmartsSyntaxError, UnsupportedPrimitiveError
+from .smiles import _DOT, _ORGANIC_ATOMS, _walk
 
 # The most mappings one pattern may enumerate on one molecule, past
 # which match, count_unique and the count variant raise MatchLimitError:
@@ -356,14 +357,14 @@ class _AtomExprScanner(_ExprScanner):
         self.unsupported(c)
 
 
-# One group per token kind, numbered as below: a bracket atom, a bare
-# atom, a run of bond-expression characters, a ring closure and a
-# parenthesis; the sixth takes any other character, which starts no token.
+# One group per token kind, numbered as ``smiles.tokenize`` numbers its
+# kinds: a bare atom, a bracket atom, a run of bond-expression
+# characters, a ring closure, '(' and ')'.  The seventh, the number of
+# the SMILES dot, takes any other character, which starts no SMARTS token.
 _TOKEN_RE = re.compile(
-    rf"(\[[^\]]*\])|({ORGANIC_RE}|[*aA])|([-=#:~@!&,;]+)|([0-9]|%[0-9][0-9])|([()])|(.)",
+    rf"({ORGANIC_RE}|[*aA])|(\[[^\]]*\])|([-=#:~@!&,;]+)|([0-9]|%[0-9][0-9])|(\()|(\))|(.)",
     re.DOTALL,
 )
-_BRACKET, _ATOM, _BOND, _RING, _PAREN = range(1, 6)
 
 # The error at a character that starts no token; any not listed is an
 # unknown symbol.
@@ -377,129 +378,77 @@ _BAD_CHARS = {
 }
 
 
+def _tokens(text: str, start: int, end: int):
+    """Yield the (kind number, token, position) tuples of
+    ``text[start:end]`` one at a time: a character that starts no token
+    raises when it is reached, after every token before it is read."""
+    for m in _TOKEN_RE.finditer(text, start, end):
+        kind, tok, pos = m.lastindex, m.group(), m.start()
+        if kind == _DOT:
+            error, message = _BAD_CHARS.get(tok, (SmartsSyntaxError, f"unknown symbol {tok!r}"))
+            raise error(message, pos)
+        yield kind, tok, pos
+
+
+def _read_atom(tok: str, pos: int):
+    """A bracket atom's expression and whether it implies an aromatic atom."""
+    expr = _AtomExprScanner(tok[1:-1], pos + 1).parse()
+    return expr, _implies_aromatic(expr)
+
+
+# A bare atom, an organic-subset symbol or one of * a A, means what it
+# means inside brackets.
+_BARE_ATOMS = {tok: _read_atom(f"[{tok}]", -1) for tok in (*_ORGANIC_ATOMS, *"*aA")}
+
+
 def _parse_bond_expr(text: str, base_pos: int):
-    """Parse a run of bond-expression characters; None for empty text."""
-    return _BondExprScanner(text, base_pos).parse() if text else None
+    """Parse a run of bond-expression characters."""
+    return _BondExprScanner(text, base_pos).parse()
+
+
+# The expression of a bond written without one, indexed by whether both
+# of its atoms can only be aromatic.
+_IMPLIED_BONDS = (Prim("single"), Or((Prim("aromatic"), Prim("single"))))
+
+# A run of bond characters is one token and '.' starts none, so the
+# walker's "bond_twice" and "bond_dot" cannot arise.
+_ERRORS = {
+    "empty": (SmartsSyntaxError, "empty SMARTS"),
+    "bond_first": (SmartsSyntaxError, "bond expression before any atom"),
+    "ring_first": (SmartsSyntaxError, "ring closure before any atom"),
+    "conflict": (SmartsSyntaxError, "conflicting bond expressions on ring closure {num}"),
+    "loop": (SmartsSyntaxError, "ring closure {num} forms a self-loop"),
+    "duplicate": (SmartsSyntaxError, "duplicate bond between atoms {i} and {j}"),
+    "branch_first": (SmartsSyntaxError, "branch before any atom"),
+    "bond_open": (SmartsSyntaxError, "bond expression before branch open"),
+    "unmatched": (SmartsSyntaxError, "unmatched ')'"),
+    "bond_close": (SmartsSyntaxError, "dangling bond expression before ')'"),
+    "bond_end": (SmartsSyntaxError, "dangling bond expression"),
+    "ring_open": (SmartsSyntaxError, "ring closure {num} never matched"),
+    "branch_open": (SmartsSyntaxError, "unclosed '('"),
+    "no_atoms": (SmartsSyntaxError, "no atoms in pattern"),
+}
 
 
 def parse_smarts(text: str) -> SmartsPattern:
-    """Compile SMARTS text into a query pattern graph.
+    """Compile SMARTS text into a query pattern graph (see ``smiles._walk``).
 
-    The text is read as one stream of tokens (see ``_TOKEN_RE``), left to
-    right, so the first error in the text wins.  A bond expression binds
-    the atom or ring closure that follows it; one pending at ``(`` or
-    ``)`` is parsed, so that an error inside it wins, and then raises
-    SmartsSyntaxError at the parenthesis.  A bad ring closure (no atom
-    yet, conflicting bond expressions, a loop, a second bond between two
-    atoms) raises SmartsSyntaxError at the closure token.  Positions
-    count in ``text`` as given, leading whitespace included."""
-    stripped = text.strip()
-    if not stripped:
-        raise SmartsSyntaxError("empty SMARTS", 0)
-    offset = text.index(stripped[0])
-    end = offset + len(stripped)
-
-    atoms: list = []
-    bonds: list[tuple[int, int]] = []
-    bond_exprs: list = []
-    adjacency: list[list[tuple[int, int]]] = []  # per atom, (neighbour, bond index)
-    anchor: int | None = None
-    pending: str = ""
-    pending_pos = 0
-    branch_stack: list[int] = []
-    # Per open ring number: its atom, its bond run and the run's position,
-    # and the position of its digit.
-    open_rings: dict[int, tuple[int, str, int, int]] = {}
-    parent: list[int | None] = []  # per atom, the other end of its chain bond
-    closed: set[tuple[int, int]] = set()  # ring-closure bonds so far, both orientations
-
-    def add_bond(qi: int, qj: int, run: str, run_pos: int) -> None:
-        # With no expression, single, or single or aromatic between two
-        # atoms that can only be aromatic.
-        expr = _parse_bond_expr(run, run_pos)
-        if expr is None:
-            both = _implies_aromatic(atoms[qi]) and _implies_aromatic(atoms[qj])
-            expr = Or((Prim("aromatic"), Prim("single"))) if both else Prim("single")
-        adjacency[qi].append((qj, len(bonds)))
-        adjacency[qj].append((qi, len(bonds)))
-        bonds.append((qi, qj))
-        bond_exprs.append(expr)
-
-    for m in _TOKEN_RE.finditer(text, offset, end):
-        kind, tok, pos = m.lastindex, m.group(), m.start()
-        if kind == _BRACKET or kind == _ATOM:
-            body, base = (tok[1:-1], pos + 1) if kind == _BRACKET else (tok, pos)
-            atoms.append(_AtomExprScanner(body, base).parse())
-            adjacency.append([])
-            parent.append(anchor)
-            new = len(atoms) - 1
-            if anchor is not None:
-                add_bond(anchor, new, pending, pending_pos)
-                pending = ""
-            anchor = new
-        elif kind == _BOND:
-            if anchor is None:
-                raise SmartsSyntaxError("bond expression before any atom", pos)
-            pending, pending_pos = tok, pos
-        elif kind == _RING:
-            if anchor is None:
-                raise SmartsSyntaxError("ring closure before any atom", pos)
-            num = int(tok.lstrip("%"))
-            if num in open_rings:
-                other, other_run, other_pos, _ = open_rings.pop(num)
-                if other_run and pending and other_run != pending:
-                    raise SmartsSyntaxError(
-                        f"conflicting bond expressions on ring closure {num}", pos
-                    )
-                run = pending or other_run
-                run_pos = pending_pos if pending else other_pos
-                if other == anchor:
-                    raise SmartsSyntaxError(f"ring closure {num} forms a self-loop", pos)
-                # Chain bonds join atoms to their parents; other bonds are closures.
-                if parent[anchor] == other or parent[other] == anchor or (anchor, other) in closed:
-                    raise SmartsSyntaxError(
-                        f"duplicate bond between atoms {anchor} and {other}", pos
-                    )
-                closed.update(((anchor, other), (other, anchor)))
-                add_bond(anchor, other, run, run_pos)
-            else:
-                open_rings[num] = (anchor, pending, pending_pos, pos)
-            pending = ""
-        elif kind == _PAREN:
-            # A bond binds only an atom or a ring closure; the error in
-            # its own expression, which comes first in the text, wins.
-            _parse_bond_expr(pending, pending_pos)
-            if tok == "(":
-                if anchor is None:
-                    raise SmartsSyntaxError("branch before any atom", pos)
-                if pending:
-                    raise SmartsSyntaxError("bond expression before branch open", pos)
-                branch_stack.append(anchor)
-            else:
-                if not branch_stack:
-                    raise SmartsSyntaxError("unmatched ')'", pos)
-                if pending:
-                    raise SmartsSyntaxError("dangling bond expression before ')'", pos)
-                anchor = branch_stack.pop()
-        else:
-            error, message = _BAD_CHARS.get(tok, (SmartsSyntaxError, f"unknown symbol {tok!r}"))
-            raise error(message, pos)
-
-    if pending:
-        raise SmartsSyntaxError("dangling bond expression", pending_pos)
-    if open_rings:
-        num, (*_, pos) = min(open_rings.items(), key=lambda kv: kv[1][3])
-        raise SmartsSyntaxError(f"ring closure {num} never matched", pos)
-    if branch_stack:
-        raise SmartsSyntaxError("unclosed '('", end - 1)
-    if not atoms:
-        raise SmartsSyntaxError("no atoms in pattern", 0)
-
+    Tokens are read one at a time and each bond expression as it arrives,
+    so the first error in the text wins.  An unwritten bond is single, or
+    single or aromatic between two atoms that can only be aromatic."""
+    stripped, atoms, bonds = _walk(
+        text, _tokens, _BARE_ATOMS, _read_atom, _parse_bond_expr, lambda *bond: bond,
+        _IMPLIED_BONDS, _ERRORS,
+    )
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]  # per atom, (neighbour, bond index)
+    for b, (i, j, _) in enumerate(bonds):
+        adjacency[i].append((j, b))
+        adjacency[j].append((i, b))
     return SmartsPattern(
         text=stripped,
         atom_exprs=tuple(atoms),
-        bond_list=tuple(bonds),
-        bond_exprs=tuple(bond_exprs),
+        bond_list=tuple((i, j) for i, j, _ in bonds),
+        bond_exprs=tuple(expr for _, _, expr in bonds),
         adjacency=tuple(tuple(sorted(a)) for a in adjacency),
     )
 

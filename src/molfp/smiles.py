@@ -1,13 +1,14 @@
-"""SMILES tokenizer, parser, and canonical writer.
+"""SMILES tokenizer and parser, the grammar walker, and canonical writer.
 
-``tokenize`` splits the text into contiguous (kind number, text,
-position) tuples, which ``parse_smiles`` reads as they are.  Supported
-subset: organic-subset atoms (B, C, N, O, P, S, F, Cl, Br, I,
-lowercase aromatic forms), bracket atoms with isotope, charge, explicit
-hydrogen count and atom map (maps are parsed and discarded), ring
-closures including %nn, branches, dots, and the bond symbols - = # :.
-Stereo markers (/ \\ @ @@) are parsed and ignored; the draft records
-that they were dropped.
+``tokenize`` splits the whole text into contiguous (kind number, text,
+position) tuples first, so a character that starts no token wins over
+every grammar error; ``_walk``, which SMARTS shares, reads the graph
+grammar from them.  Supported subset: organic-subset atoms (B, C, N, O,
+P, S, F, Cl, Br, I, lowercase aromatic forms), bracket atoms with
+isotope, charge, explicit hydrogen count and atom map (maps are parsed
+and discarded), ring closures including %nn, branches, dots, and the
+bond symbols - = # :.  Stereo markers (/ \\ @ @@) are parsed and
+ignored; the draft records that they were dropped.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def _parse_charge(text: str, pos: int) -> int:
 
 
 def _parse_bracket(text: str, pos: int) -> tuple[AtomDraft, bool]:
-    """Decompose a bracket token; returns the atom and a stereo-seen flag."""
+    """Decompose a bracket token; returns the atom and its aromatic flag."""
     m = _BRACKET_RE.match(text)
     if m is None:
         raise SmilesSyntaxError(f"malformed bracket atom {text!r}", pos)
@@ -144,129 +145,170 @@ def _parse_bracket(text: str, pos: int) -> tuple[AtomDraft, bool]:
     if m.group("charge"):
         charge = _parse_charge(m.group("charge"), pos)
     # Positional, in AtomDraft's field order, as the cache key.
-    atom = _shared_atom_draft(element, charge, int(iso) if iso else None, hcount, aromatic)
-    return atom, m.group("stereo") is not None
+    return _shared_atom_draft(element, charge, int(iso) if iso else None, hcount, aromatic), aromatic
 
 
-# Organic-subset symbol -> its one shared draft atom.
-_ORGANIC_ATOMS = {
-    **{sym: AtomDraft(atomic_number(sym)) for sym in (*ORGANIC_TWO, *ORGANIC_ONE)},
-    **{sym: AtomDraft(LOWERCASE_AROMATIC[sym], aromatic_flag=True) for sym in ORGANIC_AROMATIC},
-}
-
-_BOND_CHARS = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE,
-               ":": BondOrder.AROMATIC, "/": BondOrder.SINGLE, "\\": BondOrder.SINGLE}
-
-# The order of a bond written without a symbol, indexed by whether both
-# of its atoms are aromatic.
-_IMPLIED_ORDER = (BondOrder.SINGLE, BondOrder.AROMATIC)
+def _error(errors: dict, key: str, pos: int, **fields) -> Exception:
+    cls, message = errors[key]
+    return cls(message.format(**fields), pos)
 
 
-def parse_smiles(text: str) -> MoleculeDraft:
-    """Parse SMILES text into a molecule draft.
+def _walk(text, tokens, bare, read_atom, read_bond, make_bond, implied, errors):
+    """Walk one notation's graph grammar over ``tokens(text, start, end)``,
+    which gives the (kind number, token, position) tuples of the stripped
+    span as ``tokenize`` numbers them; return the stripped text, the
+    atoms and the bonds ``make_bond(i, j, value)``.
 
-    Ring-closure bonds are resolved (a loop or a second bond between two
-    atoms is an error at the closing digit), branches attached, and dots
-    produce disconnected components.  An unspecified bond between two
-    aromatic atoms is provisionally aromatic (sanitize demotes it to
-    single when it lies outside every ring).  The whole text is tokenized
-    first, so a character that starts no token wins over any grammar error.
-    Every error position counts in ``text`` as given, leading whitespace
-    included.
+    An atom is an (atom, aromatic flag) pair: ``bare[token]``, or
+    ``read_atom(token, position)`` for a bracket atom.  A bond token is
+    read by ``read_bond(token, position)`` when it arrives; an unwritten
+    bond is ``implied[both atoms aromatic]``.  ``errors`` gives each
+    grammar error's class and message.  A ring closure whose two bond
+    values differ, a loop or a second bond between two atoms raises at
+    the closing digit.  After the last token, an open branch raises at
+    the last non-blank character and a text without atoms at the first;
+    every position counts in ``text`` as given.
     """
     stripped = text.strip()
     if not stripped:
-        raise SmilesSyntaxError("empty SMILES", 0)
-    offset = text.index(stripped[0])
-    draft = MoleculeDraft(source_text=stripped)
-    atoms, bonds = draft.atoms, draft.bonds
+        raise _error(errors, "empty", 0)
+    start = text.index(stripped[0])
+    end = start + len(stripped)
+    atoms: list = []
+    bonds: list = []
     aromatic: list[bool] = []  # per atom, its aromatic flag
     parent: list[int | None] = []  # per atom, the other end of its chain bond
     closed: set[tuple[int, int]] = set()  # ring-closure bonds so far, both orientations
     anchor: int | None = None
-    pending: BondOrder | None = None
+    pending = None
     pending_pos = 0
     branch_stack: list[int] = []
-    open_rings: dict[int, tuple[int, BondOrder | None, int]] = {}
+    open_rings: dict = {}  # ring number -> (its atom, its bond value or None, its position)
 
-    for kind, tok, pos in tokenize(text, offset, offset + len(stripped)):
+    for kind, tok, pos in tokens(text, start, end):
         if kind == _ORGANIC or kind == _BRACKET:
-            if kind == _ORGANIC:
-                atom = _ORGANIC_ATOMS[tok]
-            else:
-                atom, stereo = _parse_bracket(tok, pos)
-                if stereo:
-                    draft.stereo_ignored = True
+            atom, flag = bare[tok] if kind == _ORGANIC else read_atom(tok, pos)
             atoms.append(atom)
-            flag = atom.aromatic_flag
             aromatic.append(flag)
             parent.append(anchor)
             new = len(atoms) - 1
             if anchor is not None:
-                both = flag and aromatic[anchor]
-                order = pending or _IMPLIED_ORDER[both]
                 # A bond to the newest atom cannot be a loop or a duplicate.
-                bonds.append(_shared_bond(anchor, new, order))
+                bonds.append(make_bond(anchor, new, pending or implied[flag and aromatic[anchor]]))
                 pending = None
             anchor = new
         elif kind == _BOND:
             if pending is not None:
-                raise SmilesSyntaxError("two bond symbols in a row", pos)
+                raise _error(errors, "bond_twice", pos)
             if anchor is None:
-                raise SmilesSyntaxError("bond symbol before any atom", pos)
-            if tok in "/\\":
-                draft.stereo_ignored = True
-            pending = _BOND_CHARS[tok]
+                raise _error(errors, "bond_first", pos)
+            pending = read_bond(tok, pos)
             pending_pos = pos
         elif kind == _RING:
             if anchor is None:
-                raise SmilesSyntaxError("ring closure before any atom", pos)
+                raise _error(errors, "ring_first", pos)
             num = int(tok[1:] if tok[0] == "%" else tok)
             if num in open_rings:
-                other, other_order, _ = open_rings.pop(num)
-                if other_order is not None and pending is not None and other_order is not pending:
-                    raise SmilesSyntaxError(
-                        f"conflicting bond orders on ring closure {num}", pos
-                    )
-                both = aromatic[anchor] and aromatic[other]
-                order = pending or other_order or _IMPLIED_ORDER[both]
+                other, other_bond, _ = open_rings.pop(num)
+                if other_bond is not None and pending is not None and other_bond != pending:
+                    raise _error(errors, "conflict", pos, num=num)
                 if anchor == other:
-                    raise SmilesSyntaxError(f"self-loop bond on atom {anchor}", pos)
+                    raise _error(errors, "loop", pos, num=num, i=anchor)
                 # Chain bonds join atoms to their parents; other bonds are closures.
                 if parent[anchor] == other or parent[other] == anchor or (anchor, other) in closed:
-                    raise SmilesSyntaxError(
-                        f"duplicate bond between atoms {anchor} and {other}", pos
-                    )
+                    raise _error(errors, "duplicate", pos, i=anchor, j=other)
                 closed.update(((anchor, other), (other, anchor)))
-                bonds.append(_shared_bond(anchor, other, order))
+                both = aromatic[anchor] and aromatic[other]
+                bonds.append(make_bond(anchor, other, pending or other_bond or implied[both]))
             else:
                 open_rings[num] = (anchor, pending, pos)
             pending = None
         elif kind == _OPEN:
             if anchor is None:
-                raise SmilesSyntaxError("branch before any atom", pos)
+                raise _error(errors, "branch_first", pos)
             if pending is not None:
-                raise SmilesSyntaxError("bond symbol before branch open", pos)
+                raise _error(errors, "bond_open", pos)
             branch_stack.append(anchor)
         elif kind == _CLOSE:
             if not branch_stack:
-                raise UnbalancedParenError("unmatched ')'", pos)
+                raise _error(errors, "unmatched", pos)
             if pending is not None:
-                raise SmilesSyntaxError("dangling bond symbol before ')'", pos)
+                raise _error(errors, "bond_close", pos)
             anchor = branch_stack.pop()
         else:
             if pending is not None:
-                raise SmilesSyntaxError("bond symbol before '.'", pos)
+                raise _error(errors, "bond_dot", pos)
             anchor = None
 
     if pending is not None:
-        raise SmilesSyntaxError("dangling bond symbol at end of input", pending_pos)
+        raise _error(errors, "bond_end", pending_pos)
     if open_rings:
         num, (_, _, pos) = min(open_rings.items(), key=lambda kv: kv[1][2])
-        raise UnclosedRingError(f"ring closure {num} never matched", pos)
+        raise _error(errors, "ring_open", pos, num=num)
     if branch_stack:
-        raise UnbalancedParenError("unclosed '('", len(text) - 1)
-    return draft
+        raise _error(errors, "branch_open", end - 1)
+    if not atoms:
+        raise _error(errors, "no_atoms", start)
+    return stripped, atoms, bonds
+
+
+# Organic-subset symbol -> its one shared draft atom and aromatic flag.
+_ORGANIC_ATOMS = {
+    **{sym: (AtomDraft(atomic_number(sym)), False) for sym in (*ORGANIC_TWO, *ORGANIC_ONE)},
+    **{
+        sym: (AtomDraft(LOWERCASE_AROMATIC[sym], aromatic_flag=True), True)
+        for sym in ORGANIC_AROMATIC
+    },
+}
+
+_BOND_CHARS = {"-": BondOrder.SINGLE, "=": BondOrder.DOUBLE, "#": BondOrder.TRIPLE,
+               ":": BondOrder.AROMATIC, "/": BondOrder.SINGLE, "\\": BondOrder.SINGLE}
+
+
+def _read_bond(tok: str, pos: int) -> BondOrder:
+    return _BOND_CHARS[tok]
+
+
+# The order of a bond written without a symbol, indexed by whether both
+# of its atoms are aromatic.
+_IMPLIED_ORDER = (BondOrder.SINGLE, BondOrder.AROMATIC)
+
+_ERRORS = {
+    "empty": (SmilesSyntaxError, "empty SMILES"),
+    "bond_twice": (SmilesSyntaxError, "two bond symbols in a row"),
+    "bond_first": (SmilesSyntaxError, "bond symbol before any atom"),
+    "ring_first": (SmilesSyntaxError, "ring closure before any atom"),
+    "conflict": (SmilesSyntaxError, "conflicting bond orders on ring closure {num}"),
+    "loop": (SmilesSyntaxError, "self-loop bond on atom {i}"),
+    "duplicate": (SmilesSyntaxError, "duplicate bond between atoms {i} and {j}"),
+    "branch_first": (SmilesSyntaxError, "branch before any atom"),
+    "bond_open": (SmilesSyntaxError, "bond symbol before branch open"),
+    "unmatched": (UnbalancedParenError, "unmatched ')'"),
+    "bond_close": (SmilesSyntaxError, "dangling bond symbol before ')'"),
+    "bond_dot": (SmilesSyntaxError, "bond symbol before '.'"),
+    "bond_end": (SmilesSyntaxError, "dangling bond symbol at end of input"),
+    "ring_open": (UnclosedRingError, "ring closure {num} never matched"),
+    "branch_open": (UnbalancedParenError, "unclosed '('"),
+    "no_atoms": (SmilesSyntaxError, "no atoms in SMILES"),
+}
+
+
+def parse_smiles(text: str) -> MoleculeDraft:
+    """Parse SMILES text into a molecule draft (see ``_walk``).
+
+    An unwritten bond between two aromatic atoms is provisionally
+    aromatic; sanitize demotes it to single outside every ring.  The whole
+    text is tokenized first, so a character that starts no token wins
+    over any grammar error.
+    """
+    stripped, atoms, bonds = _walk(
+        text, tokenize, _ORGANIC_ATOMS, _parse_bracket, _read_bond, _shared_bond, _IMPLIED_ORDER,
+        _ERRORS,
+    )
+    # The tokenizer admits '@' only inside a bracket atom, where only its
+    # chirality may hold it, and '/' and '\' only as bond symbols.
+    stereo = "@" in stripped or "/" in stripped or "\\" in stripped
+    return MoleculeDraft(atoms, bonds, source_text=stripped, stereo_ignored=stereo)
 
 
 def from_smiles(text: str) -> Molecule:

@@ -706,6 +706,31 @@ def test_bond_expression_before_a_parenthesis(text, message, position):
     assert (exc.value.message, exc.value.position) == (message, position)
 
 
+# A bond expression is read when it arrives, so an error inside it wins
+# over every later error; an open branch is reported at the last
+# non-blank character.
+@pytest.mark.parametrize(
+    "text,kind,message,position",
+    [
+        ("C-![Q]", SmartsSyntaxError, "bad bond expression char ''", 3),
+        ("C-!1CC)C1", SmartsSyntaxError, "bad bond expression char ''", 3),
+        ("C-!", SmartsSyntaxError, "bad bond expression char ''", 3),
+        ("C(C  ", SmartsSyntaxError, "unclosed '('", 2),
+    ],
+)
+def test_pinned_parser_errors(text, kind, message, position):
+    with pytest.raises(MolfpError) as exc:
+        parse_smarts(text)
+    assert type(exc.value) is kind
+    assert (exc.value.message, exc.value.position) == (message, position)
+
+
+def test_ring_closure_runs_compared_as_parsed():
+    # -&- and -;- are written differently but parse to the same And.
+    pattern = parse_smarts("C-&-1CC-;-1")
+    assert pattern.bond_exprs[-1] == And((Prim("single"), Prim("single")))
+
+
 # Positions count in the text as given: leading whitespace shifts each
 # error's position by its length.
 @pytest.mark.parametrize(

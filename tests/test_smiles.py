@@ -161,10 +161,10 @@ class TestParser:
         assert len(mol.rings.rings) == 1
 
 
-# (text, error type, message, position) as the parser has always given
-# them.  Tokenizer errors win over grammar errors anywhere in the text
-# ("C)C$"); errors inside a bracket atom count from the stripped text,
-# every other position from the text as given.
+# (text, error type, message, position) as the parser gives them.
+# Tokenizer errors win over grammar errors anywhere in the text
+# ("C)C$"); every position, inside a bracket atom too, counts in the
+# text as given.
 PINNED_ERRORS = [
     ("", SmilesSyntaxError, "empty SMILES", 0),
     ("   ", SmilesSyntaxError, "empty SMILES", 0),
@@ -177,6 +177,12 @@ PINNED_ERRORS = [
     ("  C)C", UnbalancedParenError, "unmatched ')'", 3),
     ("C(C", UnbalancedParenError, "unclosed '('", 2),
     ("C(C)(C", UnbalancedParenError, "unclosed '('", 5),
+    # At the last non-blank character, as in SMARTS.
+    ("C(C  ", UnbalancedParenError, "unclosed '('", 2),
+    # A text without atoms is an error, at its first non-blank character.
+    (".", SmilesSyntaxError, "no atoms in SMILES", 0),
+    ("..", SmilesSyntaxError, "no atoms in SMILES", 0),
+    (" . ", SmilesSyntaxError, "no atoms in SMILES", 1),
     ("C1CC", UnclosedRingError, "ring closure 1 never matched", 1),
     ("C1CC2", UnclosedRingError, "ring closure 1 never matched", 1),
     ("C%12CC%13", UnclosedRingError, "ring closure 12 never matched", 1),
@@ -232,6 +238,11 @@ def test_non_ascii_digits_are_syntax_errors(text, message, position):
     with pytest.raises(SmilesSyntaxError) as exc:
         from_smiles(text)
     assert (exc.value.message, exc.value.position) == (message, position)
+
+
+def test_dots_between_atoms_parse():
+    assert len(parse_smiles(".C").atoms) == 1
+    assert (len(parse_smiles("C..C").atoms), parse_smiles("C..C").bonds) == (2, [])
 
 
 def test_duplicate_of_a_chain_bond_from_either_end():
