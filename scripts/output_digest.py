@@ -3,7 +3,9 @@ keeps every output byte-identical.
 
 Covers the seven families x binary/count x dense/sparse and three unions
 (two of them with descriptors), each at jobs 1 and 2, over
-``synthetic_smiles(2000, seed=13)``; then skip-mode runs at jobs 2 with
+``synthetic_smiles(2000, seed=13)``, and one line over the dtype, shape
+and arrays that ``deserialize`` reads back from the text of each of the
+jobs 1 matrices; then skip-mode runs at jobs 2 with
 chunk_size 7, where failing records fill one chunk entirely, and an
 empty input; then one union at the default output form, and ``from_rows``
 of the corpus ecfp rows, dense and sparse; then one line over every
@@ -50,12 +52,14 @@ from pathlib import Path
 
 from molfp import (
     BatchOptions,
+    DenseMatrix,
     FingerprintConfig,
     Fingerprinter,
     FingerprintVector,
     bulk_top_k,
     canonical_ranks,
     cli,
+    deserialize,
     from_rows,
     from_smiles,
     parse_smarts,
@@ -115,10 +119,25 @@ def transformers():
     )
 
 
-def digest(matrix) -> str:
+def serialized(matrix) -> str:
     buf = io.StringIO()
     serialize(matrix, buf)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return buf.getvalue()
+
+
+def digest(matrix) -> str:
+    return hashlib.sha256(serialized(matrix).encode()).hexdigest()
+
+
+def hash_read_back(h, text: str) -> None:
+    """Feed ``h`` the dtype, shape and arrays of the matrix read from
+    ``text``: the values of a dense matrix, indptr, indices and data of
+    a CSR one."""
+    m = deserialize(io.StringIO(text))
+    arrays = (m.values,) if isinstance(m, DenseMatrix) else (m.indptr, m.indices, m.data)
+    h.update(f"{m.dtype} {m.rows} {m.cols}\n".encode())
+    for a in arrays:
+        h.update(a.dtype.str.encode() + a.tobytes())
 
 
 def match_digest(smiles: list[str], keys) -> str:
@@ -251,11 +270,19 @@ def cli_lines(smiles: list[str]):
 
 def main() -> int:
     smiles = synthetic_smiles(2000, seed=13)
+    read_back, n_read = hashlib.sha256(), 0
     for label, t in transformers():
         for jobs in (1, 2):
             for output in ("dense", "sparse"):
                 matrix, _ = transform_batch(smiles, t, BatchOptions(jobs=jobs), output=output)
-                print(f"{digest(matrix)}  {label} jobs={jobs} {output}", flush=True)
+                text = serialized(matrix)
+                line = hashlib.sha256(text.encode()).hexdigest()
+                print(f"{line}  {label} jobs={jobs} {output}", flush=True)
+                if jobs == 1:
+                    hash_read_back(read_back, text)
+                    n_read += 1
+    line = read_back.hexdigest()
+    print(f"{line}  deserialize(serialize()) arrays of {n_read} jobs=1 matrices", flush=True)
 
     # Records 7-13 all fail, so the second chunk of 7 has no rows.
     mixed = list(smiles[:7]) + list(BAD) + list(smiles[7:30]) + [BAD[0]]

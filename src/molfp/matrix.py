@@ -60,7 +60,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class CsrMatrix:
     """Rows of (column, value) entries, columns strictly increasing in
     each row.  The three arrays are read-only views once the matrix is
-    built, so ``column_index`` cannot go stale."""
+    built, so ``row_sizes`` and ``column_index``, built on first use and
+    kept, cannot go stale."""
 
     rows: int
     cols: int
@@ -101,12 +102,19 @@ class CsrMatrix:
 
     def __reduce__(self):
         # Unpickling goes through __init__, so the arrays come back
-        # read-only and checked, and a built column index is not sent.
+        # read-only and checked, and built row sizes and column index
+        # are not sent.
         return CsrMatrix, (self.rows, self.cols, self.dtype, self.indptr, self.indices, self.data)
 
     @property
     def nnz(self) -> int:
         return int(self.indptr[-1])
+
+    @cached_property
+    def row_sizes(self) -> np.ndarray:
+        """The number of entries stored in each row: ``np.diff(indptr)``
+        as int64."""
+        return _read_only(np.subtract(self.indptr[1:], self.indptr[:-1], dtype=np.int64))
 
     @cached_property
     def column_index(self) -> tuple[np.ndarray, np.ndarray]:
@@ -118,7 +126,7 @@ class CsrMatrix:
         stored entry plus ``cols + 1`` offsets.
         """
         order = np.argsort(self.indices, kind="stable")
-        entry_rows = np.repeat(np.arange(self.rows, dtype=np.int32), np.diff(self.indptr))
+        entry_rows = np.repeat(np.arange(self.rows, dtype=np.int32), self.row_sizes)
         col_ptr = np.zeros(self.cols + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=self.cols), out=col_ptr[1:])
         return _read_only(col_ptr), _read_only(entry_rows[order])
@@ -201,7 +209,7 @@ def to_csr(m: DenseMatrix) -> CsrMatrix:
 
 def to_dense(c: CsrMatrix) -> DenseMatrix:
     values = np.zeros((c.rows, c.cols), dtype=_NUMPY_DTYPE[c.dtype])
-    values[np.repeat(np.arange(c.rows), np.diff(c.indptr)), c.indices] = c.data
+    values[np.repeat(np.arange(c.rows), c.row_sizes), c.indices] = c.data
     return DenseMatrix(values, c.dtype)
 
 
@@ -228,6 +236,11 @@ _FIELD_TYPES = {
 _FIELD = re.compile(r"[^\t-\r\x1c- ]+")
 
 
+# A line of plain decimal fields: each fits int64, and numpy reads the
+# line exactly as int() reads its fields.
+_DIGITS = re.compile(r"[0-9]{1,18}(?: [0-9]{1,18})*+")
+
+
 def _fields(line: str) -> list[str]:
     return line.split() if line.isascii() else _FIELD.findall(line)
 
@@ -239,13 +252,20 @@ def _parse_line(
     float64 array.  ``name`` is the CSR line (indptr, indices, data), or
     None for a dense row.  ASCII fields are read by ``int()`` or
     ``float()``, so ``+1`` and ``1_0`` are accepted but a non-ASCII digit
-    such as ``١`` is not; FormatError names the line."""
+    such as ``١`` is not; FormatError names the line.  An integer line
+    of plain digits separated by single spaces is read by one numpy
+    call; its result is kept only if its count and bounds hold, and any
+    other line takes the per-field path."""
     line = lines[lineno - 1]
+    parse, array_type, lo, hi = _FIELD_TYPES[kind]
+    if kind != "f64" and _DIGITS.fullmatch(line):
+        values = np.fromstring(line, dtype=np.int64, sep=" ")
+        if len(values) == count and lo <= values.min() and values.max() <= hi:
+            return values
     fields = _fields(line)
     if len(fields) != count:
         noun = f"{name} entries" if name else "values"
         raise FormatError(f"expected {count} {noun}, got {len(fields)}", lineno)
-    parse, array_type, lo, hi = _FIELD_TYPES[kind]
     # str.isascii() is O(1); the per-field test only runs on a line with
     # non-ASCII characters.
     if line.isascii() or all(f.isascii() for f in fields):

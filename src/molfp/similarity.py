@@ -53,9 +53,13 @@ def bulk_top_k(
 
     Count data is binarized (any stored entry counts as presence).
     Returns min(k, rows) hits sorted by descending score, ties broken by
-    ascending row index.  Only the rows that store one of the query's
-    columns are visited, through ``db.column_index`` (built on the
-    first search of a matrix, then reused).
+    ascending row index.  The query's shared bits with every row are
+    counted with one ``bincount`` over the rows of its own columns, read
+    from ``db.column_index``; each score is then one division by a
+    denominator built from ``db.row_sizes`` (both built on the first
+    search of a matrix, then reused).  A non-empty query makes every
+    denominator at least 1, and an empty query scores 0 against every
+    row.
     """
     if metric not in METRICS:
         raise ShapeError(f"unknown metric {metric!r}")
@@ -67,26 +71,24 @@ def bulk_top_k(
         raise ShapeError(f"k must be an integer, not {k!r}")
     if k < 1:
         raise ShapeError("k must be at least 1")
-    col_ptr, col_rows = db.column_index
-    q_size = len(query.entries)
-    shared = [col_rows[col_ptr[c] : col_ptr[c + 1]] for c in query.entries]
-    # col_rows[:0] gives an empty query one (empty) array to concatenate.
-    inter = np.bincount(np.concatenate([col_rows[:0], *shared]), minlength=db.rows)
-    row_nnz = np.diff(db.indptr)
-
-    if metric == "tanimoto":
-        denom = q_size + row_nnz - inter
+    if query.entries:
+        col_ptr, col_rows = db.column_index
+        shared = [col_rows[col_ptr[c] : col_ptr[c + 1]] for c in query.entries]
+        inter = np.bincount(np.concatenate(shared), minlength=db.rows)
+        # Every denominator is at least the query's bit count, so no row
+        # needs a zero-denominator mask.
+        if metric == "tanimoto":
+            scores = inter / (len(query.entries) + db.row_sizes - inter)
+        else:
+            scores = 2.0 * inter / (len(query.entries) + db.row_sizes)
     else:
-        denom = np.full(db.rows, q_size, dtype=np.int64) + row_nnz
-    scores = np.zeros(db.rows, dtype=np.float64)
-    nz = denom > 0
-    factor = 2.0 if metric == "dice" else 1.0
-    scores[nz] = factor * inter[nz] / denom[nz]
+        scores = np.zeros(db.rows)
 
     take = min(k, db.rows)
-    # Rows scoring at or above the k-th largest score, ascending.
-    rows = np.arange(db.rows)
     if take < db.rows:
+        # Rows scoring at or above the k-th largest score, ascending.
         rows = np.flatnonzero(scores >= np.partition(scores, db.rows - take)[db.rows - take])
+    else:
+        rows = np.arange(db.rows)
     order = rows[np.lexsort((rows, -scores[rows]))][:take]
     return [SimilarityHit(r, s) for r, s in zip(order.tolist(), scores[order].tolist())]

@@ -23,7 +23,7 @@ from molfp import (
     to_csr,
     to_dense,
 )
-from molfp.matrix import _WRITE_CHUNK, vstack
+from molfp.matrix import _DIGITS, _WRITE_CHUNK, vstack
 
 MIB = 1024 * 1024
 
@@ -309,6 +309,53 @@ class TestSerialization:
         c = deserialize(io.StringIO("CSRv1 1 16 2 u32\n+0 2\n1_0 1_2\n+5 4_294_967_295\n"))
         assert (c.indptr.tolist(), c.indices.tolist()) == ([0, 2], [10, 12])
         assert c.data.tolist() == [5, 2**32 - 1]
+
+    @pytest.mark.parametrize(
+        "text, arrays",
+        [
+            # Leading zeros are decimal, not octal.
+            ("CSRv1 1 8 2 u8\n000 02\n001 0007\n0010 255\n", ([0, 2], [1, 7], [10, 255])),
+            # 18 digits, the widest field numpy reads.
+            ("CSRv1 1 8 1 u32\n0 1\n3\n000000004294967295\n", ([0, 1], [3], [2**32 - 1])),
+            # 19 digits are read by int().
+            ("CSRv1 1 8 1 u32\n0 1\n3\n0000000004294967295\n", ([0, 1], [3], [2**32 - 1])),
+        ],
+    )
+    def test_digit_lines_read_as_before(self, text, arrays):
+        c = deserialize(io.StringIO(text))
+        assert (c.indptr.tolist(), c.indices.tolist(), c.data.tolist()) == arrays
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("DENSEv1 1 2 u8\n1 256\n", 2, "u8 value out of range: 256"),
+            ("CSRv1 1 8 1 u8\n0 1\n3\n256\n", 4, "u8 value out of range: 256"),
+            (
+                "CSRv1 1 8 1 u32\n0 1\n3\n999999999999999999\n",
+                4,
+                "u32 value out of range: 999999999999999999",
+            ),
+            (
+                "CSRv1 1 8 1 u32\n0 1\n3\n9999999999999999999\n",
+                4,
+                "u32 value out of range: 9999999999999999999",
+            ),
+            ("CSRv1 1 8 1 u8\n0 2147483648\n3\n1\n", 2, "indptr value outside int32"),
+            ("CSRv1 1 8 1 u8\n0 1\n2147483648\n1\n", 3, "indices value outside int32"),
+            ("CSRv1 1 8 1 u8\n0 1\n1 3\n1\n", 3, "expected 1 indices entries, got 2"),
+            ("DENSEv1 1 2 u32\n1 2 3\n", 2, "expected 2 values, got 3"),
+        ],
+    )
+    def test_digit_lines_rejected_as_before(self, text, line, message):
+        with pytest.raises(FormatError) as exc:
+            deserialize(io.StringIO(text))
+        assert (exc.value.line, exc.value.message) == (line, message)
+
+    @pytest.mark.parametrize("line", ["+1 2", "1_0 2", "1  2", "1\t2", "1 2 "])
+    def test_other_integer_lines_read_per_field(self, line):
+        assert _DIGITS.fullmatch(line) is None
+        dense = deserialize(io.StringIO(f"DENSEv1 1 2 u32\n{line}\n"))
+        assert dense.values.tolist() == [[int(f) for f in line.split()]]
 
     def test_csr_value_text(self):
         c = CsrMatrix(1, 4, "f64", [0, 3], [0, 1, 3], [1e300, -1e-300, 0.1])

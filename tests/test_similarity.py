@@ -105,6 +105,17 @@ def novel(corpus1000):
     return [fp.transform_one(s) for s in corpus1000[900:920]]
 
 
+@pytest.fixture(scope="module")
+def copies(db):
+    """``db``'s matrix stacked from blocks of 120 rows, and reloaded from text."""
+    mat, rows = db
+    stacked = vstack([from_rows(rows[a : a + 120], "sparse") for a in range(0, 500, 120)])
+    buf = io.StringIO()
+    serialize(mat, buf)
+    buf.seek(0)
+    return stacked, deserialize(buf)
+
+
 def row_supports(mat) -> list[set[int]]:
     return [set(mat.indices[a:b].tolist()) for a, b in zip(mat.indptr[:-1], mat.indptr[1:])]
 
@@ -203,14 +214,9 @@ class TestBulkTopK:
             want = [r for r, support in enumerate(supports) if c in support]
             assert col_rows[col_ptr[c] : col_ptr[c + 1]].tolist() == want
 
-    def test_stacked_and_reloaded_matrices(self, db, novel):
+    def test_stacked_and_reloaded_matrices(self, db, novel, copies):
         mat, rows = db
-        stacked = vstack([from_rows(rows[a : a + 120], "sparse") for a in range(0, 500, 120)])
-        buf = io.StringIO()
-        serialize(mat, buf)
-        buf.seek(0)
-        reloaded = deserialize(buf)
-        for other in (stacked, reloaded):
+        for other in copies:
             for query in (rows[42], novel[3]):
                 assert bulk_top_k(query, other, 25) == bulk_top_k(query, mat, 25)
                 assert_matches_oracle(query, other, ks=(25,))
@@ -233,6 +239,34 @@ class TestBulkTopK:
         for array in (back.indptr, back.indices, back.data):
             assert not array.flags.writeable
         assert np.array_equal(back.column_index[1], mat.column_index[1])
+
+    def test_row_sizes_built_once_and_read_only(self, db):
+        mat, rows = db
+        sizes = mat.row_sizes
+        assert mat.row_sizes is sizes
+        assert sizes.dtype == np.int64 and not sizes.flags.writeable
+        assert sizes.tolist() == [len(r.entries) for r in rows]
+        with pytest.raises(ValueError):
+            sizes[0] = sizes[0]
+
+    def test_pickled_matrix_rebuilds_row_sizes(self, db):
+        mat, _ = db
+        mat.row_sizes
+        back = pickle.loads(pickle.dumps(mat))
+        assert "row_sizes" not in vars(back)
+        assert not back.row_sizes.flags.writeable
+        assert np.array_equal(back.row_sizes, mat.row_sizes)
+
+    def test_stacked_and_reloaded_row_sizes_score_the_same(self, db, novel, copies):
+        mat, rows = db
+        empty = vec(set(), length=mat.cols)
+        for other in copies:
+            assert np.array_equal(other.row_sizes, mat.row_sizes)
+            for query in (rows[42], novel[3], empty):
+                for metric in ("tanimoto", "dice"):
+                    for k in (1, 10, mat.rows):
+                        want = bulk_top_k(query, mat, k, metric)
+                        assert bulk_top_k(query, other, k, metric) == want
 
     def test_shape_errors(self, db):
         mat, rows = db
