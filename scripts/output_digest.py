@@ -119,14 +119,16 @@ def transformers():
     )
 
 
-def serialized(matrix) -> str:
+def serialized(matrix) -> tuple[str, str]:
+    """The matrix's text and its SHA-256."""
     buf = io.StringIO()
     serialize(matrix, buf)
-    return buf.getvalue()
+    text = buf.getvalue()
+    return text, hashlib.sha256(text.encode()).hexdigest()
 
 
 def digest(matrix) -> str:
-    return hashlib.sha256(serialized(matrix).encode()).hexdigest()
+    return serialized(matrix)[1]
 
 
 def hash_read_back(h, text: str) -> None:
@@ -275,8 +277,7 @@ def main() -> int:
         for jobs in (1, 2):
             for output in ("dense", "sparse"):
                 matrix, _ = transform_batch(smiles, t, BatchOptions(jobs=jobs), output=output)
-                text = serialized(matrix)
-                line = hashlib.sha256(text.encode()).hexdigest()
+                text, line = serialized(matrix)
                 print(f"{line}  {label} jobs={jobs} {output}", flush=True)
                 if jobs == 1:
                     hash_read_back(read_back, text)

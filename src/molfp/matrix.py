@@ -236,9 +236,11 @@ _FIELD_TYPES = {
 _FIELD = re.compile(r"[^\t-\r\x1c- ]+")
 
 
-# A line of plain decimal fields: each fits int64, and numpy reads the
-# line exactly as int() reads its fields.
-_DIGITS = re.compile(r"[0-9]{1,18}(?: [0-9]{1,18})*+")
+# With no double space, a line of plain decimal fields: numpy reads it
+# as int() reads each field, except that a value beyond int64 comes back
+# as the int64 maximum, which every integer bound rejects.  The pattern
+# is flat, as a repeated group keeps backtracking state for every field.
+_DIGITS = re.compile(r"[0-9](?:[0-9 ]*[0-9])?")
 
 
 def _fields(line: str) -> list[str]:
@@ -258,7 +260,7 @@ def _parse_line(
     other line takes the per-field path."""
     line = lines[lineno - 1]
     parse, array_type, lo, hi = _FIELD_TYPES[kind]
-    if kind != "f64" and _DIGITS.fullmatch(line):
+    if kind != "f64" and _DIGITS.fullmatch(line) and "  " not in line:
         values = np.fromstring(line, dtype=np.int64, sep=" ")
         if len(values) == count and lo <= values.min() and values.max() <= hi:
             return values

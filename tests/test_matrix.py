@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -315,10 +316,10 @@ class TestSerialization:
         [
             # Leading zeros are decimal, not octal.
             ("CSRv1 1 8 2 u8\n000 02\n001 0007\n0010 255\n", ([0, 2], [1, 7], [10, 255])),
-            # 18 digits, the widest field numpy reads.
+            # 18, 19 and 28 digits.
             ("CSRv1 1 8 1 u32\n0 1\n3\n000000004294967295\n", ([0, 1], [3], [2**32 - 1])),
-            # 19 digits are read by int().
             ("CSRv1 1 8 1 u32\n0 1\n3\n0000000004294967295\n", ([0, 1], [3], [2**32 - 1])),
+            ("CSRv1 1 8 1 u8\n0 1\n0000000000000000000000000003\n7\n", ([0, 1], [3], [7])),
         ],
     )
     def test_digit_lines_read_as_before(self, text, arrays):
@@ -340,6 +341,13 @@ class TestSerialization:
                 4,
                 "u32 value out of range: 9999999999999999999",
             ),
+            # Beyond int64, where numpy gives the int64 maximum.
+            (
+                "CSRv1 1 8 1 u32\n0 1\n3\n18446744073709551617\n",
+                4,
+                "u32 value out of range: 18446744073709551617",
+            ),
+            ("CSRv1 1 8 1 u8\n0 1\n18446744073709551619\n1\n", 3, "indices value outside int32"),
             ("CSRv1 1 8 1 u8\n0 2147483648\n3\n1\n", 2, "indptr value outside int32"),
             ("CSRv1 1 8 1 u8\n0 1\n2147483648\n1\n", 3, "indices value outside int32"),
             ("CSRv1 1 8 1 u8\n0 1\n1 3\n1\n", 3, "expected 1 indices entries, got 2"),
@@ -353,9 +361,21 @@ class TestSerialization:
 
     @pytest.mark.parametrize("line", ["+1 2", "1_0 2", "1  2", "1\t2", "1 2 "])
     def test_other_integer_lines_read_per_field(self, line):
-        assert _DIGITS.fullmatch(line) is None
+        assert _DIGITS.fullmatch(line) is None or "  " in line
         dense = deserialize(io.StringIO(f"DENSEv1 1 2 u32\n{line}\n"))
         assert dense.values.tolist() == [[int(f) for f in line.split()]]
+
+    def test_digit_check_memory_flat_in_fields(self):
+        # A repeated group would keep over 100 bytes of backtracking
+        # state per field: over 10 MB here.
+        line = " ".join(["1234"] * 100_000)
+        tracemalloc.start()
+        try:
+            assert _DIGITS.fullmatch(line)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_csr_value_text(self):
         c = CsrMatrix(1, 4, "f64", [0, 3], [0, 1, 3], [1e300, -1e-300, 0.1])
