@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, groupby, repeat
+from itertools import chain, compress, groupby, repeat
 from zlib import crc32
+
+import numpy as np
 
 from .chem import (
     BOND_CODE,
@@ -42,6 +45,16 @@ N_DESCRIPTORS = 10
 
 # Row variant -> matrix dtype, narrowest first; a union takes the widest.
 VARIANT_DTYPES = {"binary": "u8", "count": "u32", "real": "f64"}
+
+# From this many atoms on, atom_pair tallies with the numpy sweep; below
+# it the per-source search is faster (they cross between 36 and 40 atoms
+# on a 2-CPU host).
+_SWEEP_ATOMS = 40
+# The sweep pads every atom's neighbours to the largest degree, so a
+# molecule with an atom of more neighbours takes the search.
+_SWEEP_DEGREE = 6
+# (source, atom) cells of one block of the sweep's reached and stamp arrays.
+_SWEEP_CELLS = 1 << 20
 
 _pack_code = struct.Struct(">q").pack
 _BOND_BYTES = {order: _pack_code(code) for order, code in BOND_CODE.items()}
@@ -219,23 +232,15 @@ def _type_code(element: int, degree: int, aromatic: bool) -> int:
     return stable_hash32(TAG_ATOM_TYPE, element, degree, int(aromatic))
 
 
-def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
-    """Hash (type, topological distance, type) for every heavy-atom pair
-    within the distance cap; cross-component pairs are excluded.
+def _pair_graph(mol: Molecule) -> tuple[list[list[int]], list[int], list[int], int]:
+    """The atom-pair graph: neighbour lists and columns of the atoms
+    renumbered in column order, the heavy atom types by column, and the
+    heavy atom count.
 
     Column ``c`` stands for the c-th smallest heavy atom type; the
-    hydrogens share one last column.  The atoms are renumbered in column
-    order, so that a pair counted from its lower atom has the lower
-    column first, and the sources of one column are consecutive.  One
-    breadth-first search per heavy atom, over plain int neighbour lists
-    and one ``seen`` list stamped with the source, stops at the cap or
-    once every higher atom is reached, so the cost is the atom count
-    times the atoms within the cap.  The sources of column a count their
-    pairs in one list of (cap + 1) * width slots (width = columns), a
-    pair at distance d with column b at slot d * width + b, read out once
-    those sources are done, so memory is linear in the column count.
-    Each nonzero heavy-atom slot is one distinct (type, distance, type),
-    hashed once.
+    hydrogens share one last column.  In column order a pair counted
+    from its lower atom has the lower column first, the sources of one
+    column are consecutive and the heavy atoms come first.
     """
     n = mol.n_atoms
     types = [
@@ -251,10 +256,24 @@ def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
     new_index = sorted(range(n), key=order.__getitem__)  # inverse of order
     nbrs = [[new_index[j] for j, _ in mol.neighbors[i]] for i in order]
     col.sort()
-    n_heavy = n - types.count(None)
+    return nbrs, col, distinct, n - types.count(None)
 
+
+def _search_pairs(
+    nbrs: list[list[int]], col: list[int], distinct: list[int], n_heavy: int, cap: int
+) -> dict[tuple[int, int, int], int]:
+    """Pair tally from one breadth-first search per heavy atom, over
+    plain int neighbour lists and one ``seen`` list stamped with the
+    source.  A search stops at the cap or once every higher atom is
+    reached, so the cost is the atom count times the atoms within the
+    cap.  The sources of column a count their pairs in one list of
+    (cap + 1) * width slots (width = columns), a pair at distance d with
+    column b at slot d * width + b, read out once those sources are
+    done, so memory is linear in the column count.
+    """
+    n = len(nbrs)
+    n_types = len(distinct)
     width = n_types + 1
-    cap = min(cfg.distance_cap, n - 1)
     size = (cap + 1) * width
     pairs: dict[tuple[int, int, int], int] = {}
     seen = [-1] * n
@@ -284,6 +303,108 @@ def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
             d, b = divmod(slot, width)
             if b < n_types:
                 pairs[distinct[a], d, distinct[b]] = count
+    return pairs
+
+
+def _sweep_pairs(
+    nbrs: list[list[int]], col: list[int], distinct: list[int], n_heavy: int, cap: int
+) -> dict[tuple[int, int, int], int]:
+    """Pair tally from one numpy sweep that moves the frontier of every
+    source forward one level per step.
+
+    Cell ``s * (n + 1) + j`` stands for atom j as reached from source s.
+    Atom n is a dummy: it pads the neighbour table to the largest degree
+    and every source has reached it from the start.  Each level looks up
+    the frontier's neighbours, drops the cells already reached, and
+    keeps one copy of each cell: every copy writes its position into a
+    stamp array, and the copy whose position stays there is kept.
+    After the last level, the cells that pair a lower with a higher
+    heavy atom become (lower column, distance, higher column) keys,
+    counted by one ``bincount``.  Sources go through in blocks of at
+    most ``_SWEEP_CELLS`` cells, and of a column span whose keys fit in
+    as many slots, so memory is linear in n times the largest degree.
+    Each level's candidate cells number the frontier's times the largest
+    degree, so ``atom_pair`` keeps high-degree molecules off this path.
+    """
+    n = len(nbrs)
+    stride = n + 1
+    width = len(distinct) + 1
+    slots = (cap + 1) * width  # count slots per source column
+    degree = np.fromiter(map(len, nbrs), np.intp, n)
+    ends = np.cumsum(degree)
+    atoms = np.arange(stride)
+    # step[j, k]: from atom j's cell to the cell of its k-th neighbour
+    step = np.full((stride, max(1, int(degree.max()))), n, np.intp)
+    step[np.repeat(atoms[:n], degree), np.arange(ends[-1]) - np.repeat(ends - degree, degree)] = (
+        np.fromiter(chain.from_iterable(nbrs), np.intp, ends[-1])
+    )
+    step -= atoms[:, None]
+    column = np.array(col, np.intp)
+    block = max(1, min(_SWEEP_CELLS // stride, n_heavy - 1))
+    span = max(1, _SWEEP_CELLS // slots)
+    stamp = np.empty(block * stride, np.intp)
+    pairs: dict[tuple[int, int, int], int] = {}
+    s0 = 0
+    # The last heavy atom has no heavy partner above it.
+    while s0 < n_heavy - 1:
+        a0 = col[s0]
+        s1 = min(s0 + block, n_heavy - 1, bisect_left(col, a0 + span, s0))
+        sources = atoms[s0:s1]
+        frontier = (sources - s0) * stride + sources
+        unreached = np.ones((s1 - s0) * stride, bool)
+        unreached[frontier] = False
+        unreached[frontier + (n - sources)] = False
+        reached = []
+        for _ in range(cap):
+            cells = (frontier[:, None] + step.take(frontier % stride, axis=0)).ravel()
+            cells = cells.compress(unreached.take(cells))
+            order = np.arange(len(cells))
+            stamp[cells] = order
+            frontier = cells.compress(stamp.take(cells) == order)
+            if not len(frontier):
+                break
+            unreached[frontier] = False
+            reached.append(frontier)
+        if reached:
+            dist = np.repeat(atoms[1 : len(reached) + 1], [len(f) for f in reached])
+            s, j = np.divmod(np.concatenate(reached), stride)
+            s += s0
+            hit = (j > s) & (j < n_heavy)
+            keys = ((column[s[hit]] - a0) * (cap + 1) + dist[hit]) * width + column[j[hit]]
+            tally = np.bincount(keys)
+            found = np.flatnonzero(tally)
+            rest, high = np.divmod(found, width)
+            low, gap = np.divmod(rest, cap + 1)
+            for a, d, b, count in zip(
+                (low + a0).tolist(), gap.tolist(), high.tolist(), tally[found].tolist()
+            ):
+                key = distinct[a], d, distinct[b]
+                pairs[key] = pairs.get(key, 0) + count
+        s0 = s1
+    return pairs
+
+
+def atom_pair(mol: Molecule, cfg: FingerprintConfig) -> FingerprintVector:
+    """Hash (type, topological distance, type) for every heavy-atom pair
+    within the distance cap; cross-component pairs are excluded.
+
+    Each distinct (type, distance, type) is hashed once.  The tally
+    comes from one of two kernels with the same output, chosen by size:
+    - below ``_SWEEP_ATOMS`` atoms, ``_search_pairs``, one Python
+      breadth-first search per heavy atom: about 0.2 µs per visited atom,
+      memory linear in the column count;
+    - from ``_SWEEP_ATOMS`` atoms on, unless an atom has more than
+      ``_SWEEP_DEGREE`` neighbours, ``_sweep_pairs``, one numpy sweep
+      over every source: a cost per level instead of per visit, memory in
+      blocks of ``_SWEEP_CELLS`` (source, atom) cells.
+    On a 2-CPU host the two cross between 36 and 40 atoms, and the
+    tally of a corpus molecule (33 atoms at most) takes a median 28–30
+    µs by search against 82–98 µs by sweep.
+    """
+    nbrs, col, distinct, n_heavy = _pair_graph(mol)
+    sweep = mol.n_atoms >= _SWEEP_ATOMS and max(map(len, nbrs)) <= _SWEEP_DEGREE
+    tally = _sweep_pairs if sweep else _search_pairs
+    pairs = tally(nbrs, col, distinct, n_heavy, min(cfg.distance_cap, mol.n_atoms - 1))
     return _hashed(pairs, TAG_ATOM_PAIR, cfg)
 
 

@@ -6,6 +6,7 @@ import random
 import struct
 import sys
 import time
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -24,11 +25,21 @@ from molfp import (
     transform_batch,
     write_canonical_smiles,
 )
+from molfp import fingerprints
 from molfp.chem import PERMITTED_VALENCES, symbol_of
 from molfp.cli import main
 from molfp.corpus import synthetic_smiles
-from molfp.fingerprints import FAMILY_ROWS, atom_pair, ecfp, path_fingerprint
-from molfp.hashing import TAG_PATH, hash_seed, stable_hash32
+from molfp.fingerprints import (
+    FAMILY_ROWS,
+    _hashed,
+    _pair_graph,
+    _search_pairs,
+    _sweep_pairs,
+    atom_pair,
+    ecfp,
+    path_fingerprint,
+)
+from molfp.hashing import TAG_ATOM_PAIR, TAG_PATH, hash_seed, stable_hash32
 from molfp.smarts import has_match, parse_smarts
 from molfp.smiles import parse_smiles
 
@@ -298,12 +309,12 @@ class TestLargeMoleculeOracles:
         assert _count_total(mol, "topological_torsion") == expected
 
 
-# Elements with no valence rule take any degree in brackets, so a chain
-# of 60 of them has 60 atom types, and its tally at cap 30 is too large
-# for the flat list and goes to the dict.
-MANY_TYPES = "".join(
-    [f"[{symbol_of(e)}]" for e in range(3, 90) if e not in PERMITTED_VALENCES][:60]
-)
+# Elements with no valence rule take any degree in brackets.
+FREE_VALENCE = [symbol_of(e) for e in range(3, 90) if e not in PERMITTED_VALENCES]
+# A chain of 60 of them has 60 atom types: at cap 30 the search counts
+# each source column in a list of 31 * 61 slots, and the sweep counts
+# all columns at once in one bincount.
+MANY_TYPES = "".join(f"[{s}]" for s in FREE_VALENCE[:60])
 
 
 class TestAtomPairTally:
@@ -340,6 +351,111 @@ class TestAtomPairTally:
     def test_large_molecules(self):
         for g in large_set(13, FULL_LADDER):
             self._check(from_smiles(to_smiles(g)))
+
+
+class TestAtomPairKernels:
+    """The per-source search and the frontier sweep give equal tallies.
+
+    ``atom_pair`` runs one kernel per molecule size, so only this test
+    puts each kernel on the other's inputs."""
+
+    CAPS = (1, 2, 3, 30)
+    ABOVE_THRESHOLD = (
+        "[H]C([H])([H])" + "C([H])([H])" * 30 + "[H]",  # explicit hydrogens
+        "C(=O)N" * 13 + "C." + "OCC" * 13 + "O",      # two 40-atom fragments
+    )
+
+    def _check(self, mol):
+        graph = _pair_graph(mol)
+        for cap in self.CAPS:
+            cap = min(cap, mol.n_atoms - 1)
+            search = _search_pairs(*graph, cap)
+            sweep = _sweep_pairs(*graph, cap)
+            assert sweep == search, (mol.source_text, cap)
+            for variant in ("count", "binary"):
+                cfg = FingerprintConfig(family="atom_pair", variant=variant, distance_cap=cap)
+                row = _hashed(sweep, TAG_ATOM_PAIR, cfg)
+                assert row == _hashed(search, TAG_ATOM_PAIR, cfg), (mol.source_text, cap)
+
+    def test_small_and_edge_cases(self):
+        for smi in TestAtomPairTally.SMALL:
+            self._check(from_smiles(smi))
+
+    def test_corpus_sample(self):
+        for smi in random.Random(13).sample(synthetic_smiles(2000, seed=13), 150):
+            self._check(from_smiles(smi))
+
+    def test_large_molecules(self):
+        for g in large_set(13, FULL_LADDER):
+            self._check(from_smiles(to_smiles(g)))
+
+    def test_above_threshold(self):
+        mols = [from_smiles(smi) for smi in self.ABOVE_THRESHOLD]
+        hydrogens, fragments = mols
+        assert hydrogens.n_atoms >= fingerprints._SWEEP_ATOMS
+        assert sum(a.element == 1 for a in hydrogens.atoms) == 64
+        assert [from_smiles(s).n_atoms for s in fragments.source_text.split(".")] == [40, 40]
+        for mol in mols:
+            self._check(mol)
+
+    def test_sweep_in_small_blocks(self, monkeypatch):
+        # Blocks of a few sources, split again where a block's column
+        # span would need more count slots than the block has cells.
+        monkeypatch.setattr(fingerprints, "_SWEEP_CELLS", 200)
+        for smi in (*self.ABOVE_THRESHOLD, MANY_TYPES, "OCCN" * 12, "CC.O"):
+            self._check(from_smiles(smi))
+
+
+class TestAtomPairMemory:
+    """Count rows of 5,000-atom inputs hold the closed-form totals, and
+    the sweep's blocks keep its memory near linear in the atom count."""
+
+    BUDGET = 64 * 2**20  # bytes; an unblocked (n + 1)^2 stamp array needs 200 MB
+    CFG = FingerprintConfig(family="atom_pair", variant="count")
+
+    def _traced(self, f, *args):
+        tracemalloc.start()
+        try:
+            out = f(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BUDGET, (f.__name__, peak)
+        return out
+
+    def _row(self, smi):
+        mol = from_smiles(smi)
+        return mol, self._traced(atom_pair, mol, self.CFG)
+
+    def test_chain(self):
+        n = 5000
+        mol, row = self._row("C" * n)
+        # n - d pairs at each distance d = 1..30
+        assert sum(row.entries.values()) == 30 * n - 465
+
+    def test_ring(self):
+        n = 5000
+        mol, row = self._row("C1" + "C" * (n - 1) + "1")
+        assert [len(r) for r in mol.rings.rings] == [n]
+        # n pairs at each distance d = 1..30 < n / 2
+        assert sum(row.entries.values()) == 30 * n
+
+    def test_star(self):
+        # 200 leaves on one atom: padded to its degree, every sweep level
+        # would expand each frontier cell into 200 candidates.
+        mol, row = self._row(f"[{FREE_VALENCE[0]}]" + "(C)" * 199 + "C")
+        assert sum(row.entries.values()) == 200 + 200 * 199 // 2
+
+    def test_many_columns(self):
+        # A chain of 1,200 atoms, each its own column, given to the kernels
+        # directly.  By atom count alone a block would hold 873 sources,
+        # whose keys at cap 30 need 873 * 31 * 1,201 count slots (260 MB
+        # of int64); the column span keeps each block's keys within
+        # _SWEEP_CELLS slots.
+        n = 1200
+        nbrs = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+        graph = nbrs, list(range(n)), list(range(n)), n
+        assert self._traced(_sweep_pairs, *graph, 30) == _search_pairs(*graph, 30)
 
 
 class TestPathTally:
