@@ -28,7 +28,7 @@ from .chem import (
     atomic_weight,
     initial_atom_invariant,
 )
-from .errors import ConfigError, FoldError
+from .errors import ConfigError, FoldError, ShapeError
 from .hashing import (
     TAG_ATOM_PAIR,
     TAG_ATOM_TYPE,
@@ -45,6 +45,7 @@ N_DESCRIPTORS = 10
 
 # Row variant -> matrix dtype, narrowest first; a union takes the widest.
 VARIANT_DTYPES = {"binary": "u8", "count": "u32", "real": "f64"}
+MAX_COLS = 2**31  # the widest row: a CSR column index is an int32
 
 # From this many atoms on, atom_pair tallies with the numpy sweep; below
 # it the per-source search is faster (they cross between 36 and 40 atoms
@@ -75,16 +76,16 @@ class FingerprintVector:
 
     def __post_init__(self) -> None:
         if self.length < 0:
-            raise ValueError("negative length")
+            raise ShapeError("negative length")
         if self.variant not in VARIANT_DTYPES:
-            raise ValueError(f"bad variant {self.variant!r}")
+            raise ShapeError(f"bad variant {self.variant!r}")
         for idx, value in self.entries.items():
             if not 0 <= idx < self.length:
-                raise ValueError(f"index {idx} out of range for length {self.length}")
+                raise ShapeError(f"index {idx} out of range for length {self.length}")
             if value < 1 and (value == 0 or self.variant != "real"):
-                raise ValueError(f"{self.variant} vector stores {value} at index {idx}")
+                raise ShapeError(f"{self.variant} vector stores {value} at index {idx}")
             if self.variant == "binary" and value != 1:
-                raise ValueError(f"binary vector stores count {value} at index {idx}")
+                raise ShapeError(f"binary vector stores count {value} at index {idx}")
 
     def to_binary(self) -> "FingerprintVector":
         if self.variant == "binary":
@@ -116,8 +117,8 @@ class FingerprintConfig:
             value = getattr(self, name)
             if type(value) is not int:  # not isinstance: True is an int
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.length < 1:
-            raise ConfigError("length must be positive")
+        if not 1 <= self.length <= MAX_COLS:
+            raise ConfigError(f"need 1 <= length <= {MAX_COLS}")
         if self.radius < 0:
             raise ConfigError("radius must be non-negative")
         if not 1 <= self.min_path <= self.max_path <= 10:

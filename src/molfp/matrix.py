@@ -14,12 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import IO, Iterable, Mapping
 
 import numpy as np
 
 from .errors import FormatError, ShapeError
-from .fingerprints import VARIANT_DTYPES
+from .fingerprints import MAX_COLS, VARIANT_DTYPES, FingerprintVector
 
 _NUMPY_DTYPE = {"u8": np.uint8, "u32": np.uint32, "f64": np.float64}
 _INDEX_BYTES = 4  # fixed CSR index width
@@ -135,25 +136,34 @@ class CsrMatrix:
 Matrix = DenseMatrix | CsrMatrix
 
 
-def from_entry_rows(rows: Iterable[Mapping[int, float]], cols: int, dtype: str) -> CsrMatrix:
-    """Build a CSR matrix from sparse row mappings (index -> nonzero value)."""
-    rows = list(rows)
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for entries in rows:
-        for idx in sorted(entries):
-            indices.append(idx)
-            data.append(entries[idx])
-        indptr.append(len(indices))
-    return CsrMatrix(
-        rows=len(rows),
-        cols=cols,
-        dtype=dtype,
-        indptr=np.array(indptr, dtype=np.int32),
-        indices=np.array(indices, dtype=np.int32),
-        data=np.array(data, dtype=_NUMPY_DTYPE[dtype]),
-    )
+def row_entries(v: FingerprintVector, cols: int, variant: str) -> Mapping[int, float]:
+    """``v.entries``; ShapeError unless ``v`` has length ``cols`` and ``variant``."""
+    if v.length != cols or v.variant != variant:
+        raise ShapeError(f"expected {variant} rows of length {cols}, got {v.variant} of {v.length}")
+    return v.entries
+
+
+def from_entry_rows(vectors: Iterable[FingerprintVector], cols: int, variant: str) -> CsrMatrix:
+    """The CSR rows of ``vectors``, in order: the one assembly, for
+    ``from_rows`` and the engine (``bench/layers.py`` traces it by name).
+    Each vector passes ``row_entries`` and ``cols <= MAX_COLS`` keeps
+    columns in int32.  Entries (any mapping) are read by ``np.fromiter``
+    and ordered by one argsort of ``row * cols + column``."""
+    if variant not in VARIANT_DTYPES or not 0 <= cols <= MAX_COLS:
+        raise ShapeError(f"cannot assemble {variant!r} rows of {cols} columns")
+    rows = [row_entries(v, cols, variant) for v in vectors]
+    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(sizes, out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(chain.from_iterable(rows), np.int32, nnz)
+    dtype = VARIANT_DTYPES[variant]
+    try:
+        data = np.fromiter(chain.from_iterable(r.values() for r in rows), _NUMPY_DTYPE[dtype], nnz)
+    except OverflowError:  # a count vector built with a count of 2**32 or more
+        raise ShapeError(f"a {variant} value outside {dtype}") from None
+    order = np.argsort(np.repeat(np.arange(len(rows), dtype=np.int64) * cols, sizes) + indices)
+    return CsrMatrix(len(rows), cols, dtype, indptr, indices[order], data[order])
 
 
 def vstack(blocks: list[CsrMatrix]) -> CsrMatrix:
@@ -186,12 +196,7 @@ def from_rows(vectors: list, output: str = "dense", cols: int | None = None) -> 
         raise ShapeError(f"unknown output form {output!r}")
     length = vectors[0].length if vectors else cols or 0
     variant = vectors[0].variant if vectors else "binary"
-    for v in vectors:
-        if v.length != length:
-            raise ShapeError(f"mixed vector lengths: {v.length} vs {length}")
-        if v.variant != variant:
-            raise ShapeError(f"mixed vector variants: {v.variant} vs {variant}")
-    m = from_entry_rows((v.entries for v in vectors), length, VARIANT_DTYPES[variant])
+    m = from_entry_rows(vectors, length, variant)
     return to_dense(m) if output == "dense" else m
 
 

@@ -215,12 +215,8 @@ class _ExprScanner:
         return self.text[self.i] if self.i < len(self.text) else ""
 
     def parse(self):
-        expr = self.expr_semi()
-        if self.i != len(self.text):
-            self.error(f"unexpected {self.peek()!r} in expression")
-        return expr
-
-    def expr_semi(self):
+        """The whole text: expr_and stops only at its end or at "," or
+        ";", which expr_or and this loop consume."""
         parts = [self.expr_or()]
         while self.peek() == ";":
             self.i += 1

@@ -16,6 +16,7 @@ from molfp import (
     ConfigError,
     FingerprintConfig,
     Fingerprinter,
+    FingerprintVector,
     FormatError,
     Molecule,
     RecordError,
@@ -100,6 +101,20 @@ class TypeLogging(Fingerprinter):
     def transform_one(self, record):
         self.seen.append(type(record))
         return super().transform_one(record)
+
+
+class FixedRow:
+    """A duck-typed transformer that declares ``n_cols`` columns of one
+    ``variant`` and returns ``row`` for every record (module level, so
+    workers can unpickle it)."""
+
+    output_kind = "vector"
+
+    def __init__(self, row: FingerprintVector, n_cols: int, variant: str, input_kind: str):
+        self.row, self.n_cols, self.variant, self.input_kind = row, n_cols, variant, input_kind
+
+    def transform_one(self, record):
+        return self.row
 
 
 class TestChunking:
@@ -294,6 +309,34 @@ class TestTransformBatch:
         with pytest.raises(CompositionError):
             transform_batch(["C"], SmilesParser(), BatchOptions())
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            FingerprintVector(8, "count", {1: 3}),  # was stored as a 3 in a u8 matrix
+            FingerprintVector(4, "binary", {1: 1}),  # was accepted as an 8-column row
+            FingerprintVector(8, "count", {1: 300}),  # was a bare numpy OverflowError
+        ],
+    )
+    @pytest.mark.parametrize("error_mode", ["raise", "skip"])
+    def test_row_that_does_not_fit_is_a_shape_error(self, row, error_mode):
+        opts = BatchOptions(jobs=2, error_mode=error_mode)
+        with pytest.raises(ShapeError, match="expected binary rows of length 8"):
+            transform_batch(["a", "b"], FixedRow(row, 8, "binary", "text"), opts)
+        fits = FixedRow(FingerprintVector(8, "binary", {1: 1}), 8, "binary", "text")
+        mat, _ = transform_batch(["a", "b"], fits, opts)
+        assert mat.values.tolist() == [[0, 1, 0, 0, 0, 0, 0, 0]] * 2
+
+    def test_length_bounded_by_int32_index(self):
+        # 2**32 columns once ended a skip-mode batch with a bare OverflowError.
+        with pytest.raises(ConfigError, match="length <= 2147483648"):
+            ecfp_t(length=2**32)
+        smis = ["CCO", "c1ccccc1O"]
+        fp = ecfp_t(length=2**31)
+        mat, _ = transform_batch(smis, fp, BatchOptions(error_mode="skip"), "sparse")
+        assert mat.cols == 2**31 and mat.indices.dtype == np.int32
+        rows = [sorted(fp.transform_one(s).entries) for s in smis]
+        assert [mat.indices[a:b].tolist() for a, b in zip(mat.indptr, mat.indptr[1:])] == rows
+
     def test_empty_input_batch(self):
         fp = ecfp_t(length=32)
         mat, report = transform_batch([], fp, BatchOptions(jobs=4))
@@ -368,6 +411,16 @@ class TestUnion:
     def test_non_vector_branch_rejected(self):
         with pytest.raises(CompositionError):
             union([SmilesParser()])
+
+    def test_branch_row_must_fit_its_columns(self):
+        # A branch of 4 declared columns that wrote 8 once put its column
+        # 6 into the descriptors' ring count.
+        wide = FixedRow(FingerprintVector(8, "count", {6: 1}), 4, "count", "molecule")
+        u = union([wide, Fingerprinter(FingerprintConfig(family="descriptors"))])
+        with pytest.raises(ShapeError, match="expected count rows of length 4"):
+            u.transform_one("CCO")
+        fits = FixedRow(FingerprintVector(4, "count", {3: 2}), 4, "count", "molecule")
+        assert union([fits, fits]).transform_one("CCO").entries == {3: 2, 7: 2}
 
     def test_descriptor_union_promotes_to_f64(self, corpus1000):
         u = union([ecfp_t(length=32), Fingerprinter(FingerprintConfig(family="descriptors"))])

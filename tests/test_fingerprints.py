@@ -16,6 +16,7 @@ from molfp import (
     FingerprintVector,
     Fingerprinter,
     FoldError,
+    ShapeError,
     atom_pair,
     compute,
     descriptors,
@@ -338,15 +339,15 @@ class TestInvariants:
 
 class TestVectorAndConfig:
     def test_vector_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             FingerprintVector(4, "binary", {4: 1})
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             FingerprintVector(4, "binary", {0: 2})
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             FingerprintVector(4, "count", {0: 0})
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             FingerprintVector(4, "nope", {})
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError):
             FingerprintVector(4, "real", {0: 0.0})
         assert FingerprintVector(4, "real", {1: -0.5}).entries == {1: -0.5}
 

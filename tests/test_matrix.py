@@ -63,10 +63,19 @@ class TestFromRows:
         with pytest.raises(ShapeError):
             from_rows([vec(3, "binary", {}), vec(3, "count", {})])
 
+    def test_width_bounded_by_int32_index(self):
+        # A column of 2**35 once could be cast to an int32 0.
+        with pytest.raises(ShapeError, match="rows of 34359738369 columns"):
+            from_rows([vec(2**35 + 1, "binary", {2**35: 1})], "sparse")
+        m = from_rows([vec(2**31, "binary", {2**31 - 1: 1, 5: 1})], "sparse")
+        assert m.indices.dtype == np.int32 and m.indices.tolist() == [5, 2**31 - 1]
+
     def test_count_rows_use_u32(self):
         m = from_rows([vec(4, "count", {1: 300})], "dense")
         assert m.dtype == "u32"
         assert m.values[0, 1] == 300
+        with pytest.raises(ShapeError, match="count value outside u32"):
+            from_rows([vec(4, "count", {1: 2**32})], "dense")
 
     def test_row_order_preserved(self):
         rows = [vec(4, "count", {i % 4: i + 1}) for i in range(8)]
@@ -139,6 +148,19 @@ class TestValidation:
     def test_index_bound(self):
         with pytest.raises(ShapeError):
             CsrMatrix(1, 3, "u8", np.array([0, 1]), np.array([3]), np.array([1]))
+        # The other shape checks of both containers.
+        one = np.array([1])
+        for make, message in (
+            (lambda: CsrMatrix(1, 3, "i8", np.array([0, 1]), one, one), "unknown dtype 'i8'"),
+            (lambda: CsrMatrix(-1, 3, "u8", np.array([0]), one[:0], one[:0]), "negative shape"),
+            (lambda: CsrMatrix(2, 3, "u8", np.array([0, 1]), one, one), "indptr length"),
+            (lambda: CsrMatrix(1, 3, "u8", np.array([0, 1]), one[:0], one), "indices/data"),
+            (lambda: CsrMatrix(1, 3, "u8", np.array([0, 1]), one, one[:0]), "indices/data"),
+            (lambda: DenseMatrix(np.zeros((1, 1)), "i8"), "unknown dtype 'i8'"),
+            (lambda: DenseMatrix(np.zeros(3), "u8"), "2-dimensional"),
+        ):
+            with pytest.raises(ShapeError, match=message):
+                make()
 
 
 class TestFootprint:
@@ -296,6 +318,13 @@ class TestSerialization:
             ("CSRv1 1 4 2 u8\n0 2\n0\u30003\n1 1\n", 3, "expected 2 indices entries, got 1"),
             ("DENSEv1\u30001 2 u8\n1 2\n", 1, "unknown format 'DENSEv1\\u30001'"),
             ("DENSEv1 1 2 u8\n1 2\n\u3000\n", 3, "trailing content after matrix rows"),
+            ("DENSEv1 x 3 u8\n", 1, "non-integer shape in header"),
+            (" \n1 2\n", 1, "blank header"),
+            ("DENSEv1 1 2\n1 2\n", 1, "DENSEv1 header needs rows, cols, dtype"),
+            ("CSRv1 1 8 u8\n0 1\n3\n1\n", 1, "CSRv1 header needs rows, cols, nnz, dtype"),
+            ("DENSEv1 1 2 i8\n1 2\n", 1, "unknown dtype 'i8'"),
+            ("CSRv1 1 8 1 i8\n0 1\n3\n1\n", 1, "unknown dtype 'i8'"),
+            ("CSRv1 1 8 1 u8\n0 1\n3\n1\n9\n", 5, "trailing content after CSR data"),
         ],
     )
     def test_rejected_value_names_line(self, text, line, message):
@@ -408,7 +437,9 @@ class TestSerialization:
 )
 def test_serialization_roundtrip_property(entry_rows):
     vecs = [vec(16, "count", e) for e in entry_rows]
+    want = [[e.get(c, 0) for c in range(16)] for e in entry_rows]
     for form in ("dense", "sparse"):
         m = from_rows(vecs, form, cols=16)
+        assert (m if form == "dense" else to_dense(m)).values.tolist() == want
         back = deserialize(io.StringIO(roundtrip(m)))
         assert roundtrip(back) == roundtrip(m)

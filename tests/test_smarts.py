@@ -623,6 +623,9 @@ class TestKeySet:
         bad.write_text("K1\t[OX2H]\n")  # two fields only
         with pytest.raises(KeySetError):
             load_key_set(bad)
+        bad.write_text("K1\t[OX2H]\thydroxyl\nK1\tC\tcarbon\n")
+        with pytest.raises(KeySetError, match=":2: missing or duplicate key id 'K1'"):
+            load_key_set(bad)
 
     def test_bad_smarts_fails_at_load(self, tmp_path):
         bad = tmp_path / "bad.smarts"
